@@ -408,6 +408,87 @@ def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+class TermColumns:
+    """Term values as columns over a fixed list of tuples, the rows.
+
+    `column(t)[i] == eval_term(alg, t, space[i])` for every row i.  Each
+    distinct term is evaluated once, over all rows at a time, and
+    memoised: an application indexes its operation table straight from
+    its argument columns (`tab[x]` for unary operations, `tab[x*n + y]`
+    for binary ones, the row-major index for higher arities), so there is
+    no per-tuple recursion and no `Operation.value` call.
+    """
+
+    def __init__(self, alg: Algebra, space: Sequence[tuple[int, ...]]):
+        self.alg = alg
+        self.space = space
+        self._columns: dict[Term, list[int]] = {}
+        self._table_rows: dict[str, list[tuple[int, ...]]] = {}
+
+    def column(self, t: Term) -> list[int]:
+        col = self._columns.get(t)
+        if col is None:
+            col = self._columns[t] = self._evaluate(t)
+        return col
+
+    def _evaluate(self, t: Term) -> list[int]:
+        space = self.space
+        if isinstance(t, Var):
+            i = t.index
+            if space and i >= len(space[0]):
+                raise ValueError(f"variable x{i} out of range for a tuple of length {len(space[0])}")
+            return [v[i] for v in space]
+        op = self.alg.op(t.symbol)
+        tab = op.table
+        if len(t.args) != op.arity:
+            if not t.args and t.symbol in self.alg.constants:
+                return [tab[0]] * len(space)
+            raise ValueError(
+                f"symbol {t.symbol!r} applied to {len(t.args)} arguments, arity is {op.arity}"
+            )
+        cols = [self.column(s) for s in t.args]
+        if op.arity == 1:
+            return [tab[x] for x in cols[0]]
+        n = self.alg.size
+        if op.arity == 2:
+            # tab[x*n + y] as rows[x][y]: one subscript fewer per value
+            rows = self._table_rows.get(op.symbol)
+            if rows is None:
+                rows = self._table_rows[op.symbol] = [tab[x * n : x * n + n] for x in range(n)]
+            return [rows[x][y] for x, y in zip(*cols)]
+        index = cols[0]
+        for c in cols[1:]:
+            index = [i * n + x for i, x in zip(index, c)]
+        return [tab[i] for i in index]
+
+    def truth(self, phi: QfFormula) -> list[bool]:
+        """Truth value of `phi` at every row, from the term columns."""
+        if isinstance(phi, TrueFormula):
+            return [True] * len(self.space)
+        if isinstance(phi, FalseFormula):
+            return [False] * len(self.space)
+        if isinstance(phi, Eq):
+            return [x == y for x, y in zip(self.column(phi.lhs), self.column(phi.rhs))]
+        if isinstance(phi, Not):
+            return [not x for x in self.truth(phi.inner)]
+        if isinstance(phi, And):
+            out = self.truth(phi.children[0])
+            for c in phi.children[1:]:
+                out = [x and y for x, y in zip(out, self.truth(c))]
+            return out
+        if isinstance(phi, Or):
+            out = self.truth(phi.children[0])
+            for c in phi.children[1:]:
+                out = [x or y for x, y in zip(out, self.truth(c))]
+            return out
+        raise TypeError(f"not a formula: {phi!r}")
+
+
+# rows per kernel in `extension`: whole-space columns of every subterm
+# would hold |A|^k values each, so the product space is walked in chunks
+EXTENSION_CHUNK = 256
+
+
 def extension(alg: Algebra, phi: QfFormula, k: int) -> Relation:
     """The relation {a in A^k : phi holds at a}."""
     if k < 1:
@@ -415,9 +496,10 @@ def extension(alg: Algebra, phi: QfFormula, k: int) -> Relation:
     bad = [i for i in formula_variables(phi) if i >= k]
     if bad:
         raise ValueError(f"formula uses x{max(bad)} but arity is {k}")
-    hits = [
-        a for a in itertools.product(range(alg.size), repeat=k) if eval_formula(alg, phi, a)
-    ]
+    product = itertools.product(range(alg.size), repeat=k)
+    hits: list[tuple[int, ...]] = []
+    while chunk := list(itertools.islice(product, EXTENSION_CHUNK)):
+        hits.extend(itertools.compress(chunk, TermColumns(alg, chunk).truth(phi)))
     return Relation(k, frozenset(hits))
 
 

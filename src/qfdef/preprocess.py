@@ -104,8 +104,13 @@ class TargetBundle:
 
 
 def decompose(rel: Relation) -> TargetBundle:
+    k = rel.arity
+    # a tuple without repeated entries is its own squash, under the identity pattern
+    plain = {a for a in rel.tuples if len(set(a)) == k}
     groups: dict[Pattern, set[tuple[int, ...]]] = {}
-    for a in rel.tuples:
+    if plain:
+        groups[Pattern(tuple((i,) for i in range(k)))] = plain
+    for a in rel.tuples - plain:
         groups.setdefault(pattern(a), set()).add(squash(a))
     ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
     targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)

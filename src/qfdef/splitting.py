@@ -10,6 +10,16 @@ block that runs out of terms to try is a counterexample: its tuples are
 pairwise isomorphic, so any straddling pair plus the canonical map
 between their generated subuniverses separates the target.
 
+This is partition refinement over an indexed space (Paige and Tarjan,
+"Three partition refinement algorithms", 1987).  The repetition-free
+tuples are numbered once, lexicographically; a block holds the ascending
+row numbers of its tuples, target membership is one bool column, and a
+`TermColumns` kernel evaluates each term once into a column over all
+rows.  A split compares the new term's column with each witness's column
+over the block's rows.  Rows turn back into tuples only at the edges:
+the terminal block handed to `extract_counterexample` and the debug
+invariant checks.
+
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
 flattened to disjunctive-normal-form-shaped text) on output.
@@ -33,10 +43,10 @@ from .algebra import (
     Or,
     QfFormula,
     Relation,
+    TermColumns,
     Term,
     Var,
-    eval_formula,
-    eval_term,
+    extension,
 )
 from .decision import Decision, Definable, NotDefinable
 from .isotype import Subisomorphism, iso_type, subiso_from_signatures
@@ -48,6 +58,10 @@ Trace = Callable[[str], None]
 class Block:
     """One block of the refinement, with its term bookkeeping.
 
+    `tuples` are the block's members.  Inside the decider they are the
+    ascending row indices of the tuples in the target's repetition-free
+    space, the rows of its `TermColumns`; the public single-step form of
+    `process_mixed_block` takes and returns a set of tuples instead.
     `witnesses` are terms that pairwise disagree on every member tuple;
     `new_witnesses` are the witnesses added since the last term refill
     and drive the generation of the next term layer; `terms_to_process`
@@ -60,7 +74,7 @@ class Block:
 
     def __init__(
         self,
-        tuples: frozenset[tuple[int, ...]],
+        tuples: Sequence[int] | frozenset[tuple[int, ...]],
         witnesses: tuple[Term, ...],
         new_witnesses: tuple[Term, ...],
         terms_to_process: list[Term],
@@ -128,7 +142,7 @@ def generate_terms(
 def process_mixed_block(
     alg: Algebra,
     block: Block,
-    value: Callable[[Term, tuple[int, ...]], int] | None = None,
+    columns: TermColumns | None = None,
     stats: SplitStats | None = None,
 ) -> list[Block]:
     """One refinement step on a mixed block.
@@ -139,31 +153,51 @@ def process_mixed_block(
     witness it agrees with; tuples agreeing with no witness form the
     complement block, which adopts the term as a new witness.  A lone
     successor keeps the parent's formula unchanged.
+
+    With `columns`, the block's tuples are row indices into its space.
+    Without, they are a set of tuples: the step numbers them in sorted
+    order, runs on a kernel over just those tuples and hands the
+    successors back as tuple sets.
     """
     if block.is_terminal:
         raise ValueError("terminal block cannot be processed")
-    if value is None:
-        value = lambda t, v: eval_term(alg, t, v)
     if not block.terms_to_process:
         block.terms_to_process = generate_terms(alg, block.witnesses, block.new_witnesses)
         block.new_witnesses = ()
         if stats:
             stats.refills += 1
         return [block]
+    if columns is not None:
+        return _split(columns, block, stats)
+    space = sorted(block.tuples)
+    tuples, block.tuples = block.tuples, range(len(space))
+    try:
+        successors = _split(TermColumns(alg, space), block, stats)
+    finally:
+        block.tuples = tuples
+    for s in successors:
+        s.tuples = frozenset(space[i] for i in s.tuples)
+    return successors
+
+
+def _split(columns: TermColumns, block: Block, stats: SplitStats | None) -> list[Block]:
+    """Split a row-index block by the first pending term; see `process_mixed_block`."""
     t = block.terms_to_process.pop(0)
     block.step += 1
     if stats:
         stats.steps += 1
     remaining = block.terms_to_process
+    ct = columns.column(t)
+    rest = block.tuples
     successors: list[Block] = []
-    complement = set(block.tuples)
     diseqs: list[QfFormula] = []
     for s in block.witnesses:
-        eq_tuples = frozenset(v for v in block.tuples if value(t, v) == value(s, v))
-        if eq_tuples:
+        cs = columns.column(s)
+        eq_rows = [i for i in rest if ct[i] == cs[i]]
+        if eq_rows:
             successors.append(
                 Block(
-                    eq_tuples,
+                    eq_rows,
                     block.witnesses,
                     block.new_witnesses,
                     list(remaining),
@@ -171,12 +205,15 @@ def process_mixed_block(
                     block.step,
                 )
             )
-            complement -= eq_tuples
+            if len(eq_rows) == len(rest):
+                rest = []
+                break
+            rest = [i for i in rest if ct[i] != cs[i]]
             diseqs.append(Not(Eq(t, s)))
-    if complement:
+    if rest:
         successors.append(
             Block(
-                frozenset(complement),
+                rest,
                 block.witnesses + (t,),
                 block.new_witnesses + (t,),
                 list(remaining),
@@ -194,7 +231,8 @@ def process_mixed_block(
 def extract_counterexample(
     alg: Algebra, block: Block, target: frozenset[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], tuple[int, ...], Subisomorphism]:
-    """Witness pair and connecting map from a terminal mixed block."""
+    """Witness pair and connecting map from a terminal mixed block whose
+    tuples are a set of tuples, the form the decider hands out."""
     if not block.is_terminal:
         raise ValueError("block still has terms to try; not terminal")
     inside = sorted(block.tuples & target)
@@ -208,46 +246,54 @@ def extract_counterexample(
 
 
 class _DebugChecker:
-    """Invariant suite evaluated at every mutation of the block system."""
+    """Invariant suite evaluated at every mutation of the block system.
 
-    def __init__(self, alg: Algebra, target: frozenset, k: int, check_term_repr: bool):
-        self.alg = alg
+    Blocks hold row indices; the checker maps them to tuples through the
+    kernel's space wherever an invariant speaks about tuples.
+    """
+
+    def __init__(self, columns: TermColumns, target: frozenset, k: int, check_term_repr: bool):
+        self.alg = columns.alg
+        self.columns = columns
+        self.space = columns.space
+        self.distinct = frozenset(columns.space)
         self.target = target
         self.k = k
         self.check_term_repr = check_term_repr
-        self.space = list(itertools.product(range(alg.size), repeat=k))
-        self.distinct = frozenset(itertools.permutations(range(alg.size), k))
 
-    def check_block(self, b: Block, value) -> None:
+    def check_block(self, b: Block) -> None:
+        column = self.columns.column
         # distinct witnesses never agree on a member tuple
         for s, t in itertools.combinations(b.witnesses, 2):
-            for v in b.tuples:
-                assert value(s, v) != value(t, v), "two witnesses coincide on a block tuple"
+            cs, ct = column(s), column(t)
+            assert all(cs[i] != ct[i] for i in b.tuples), "two witnesses coincide on a block tuple"
         # the block formula carves exactly the block out of the distinct tuples
-        phi = b.formula
-        ext = {v for v in self.space if eval_formula(self.alg, phi, v)}
-        assert ext & self.distinct == b.tuples, "block formula extension drifted off its tuples"
+        ext = extension(self.alg, b.formula, self.k).tuples
+        assert ext & self.distinct == {self.space[i] for i in b.tuples}, (
+            "block formula extension drifted off its tuples"
+        )
         if self.check_term_repr:
-            self._check_term_representation(b, value)
+            self._check_term_representation(b)
 
     def check_system(self, pending, full_blocks) -> None:
-        seen: set[tuple[int, ...]] = set()
+        seen: set[int] = set()
         for b in itertools.chain(pending, full_blocks):
-            assert not (seen & b.tuples), "blocks overlap"
-            seen |= b.tuples
-        assert self.target <= seen, "target tuples leaked out of the block system"
+            rows = set(b.tuples)
+            assert not (seen & rows), "blocks overlap"
+            seen |= rows
+        assert self.target <= {self.space[i] for i in seen}, "target tuples leaked out of the block system"
 
     def check_split(self, successors: list[Block]) -> None:
         # a sample of tuples landing in different successors must differ in type
         for b1, b2 in itertools.combinations(successors, 2):
-            a = sorted(b1.tuples)[0]
-            b = sorted(b2.tuples)[0]
+            a = self.space[min(b1.tuples)]
+            b = self.space[min(b2.tuples)]
             assert iso_type(self.alg, a).partition != iso_type(self.alg, b).partition, (
                 "isomorphic tuples were separated into different blocks"
             )
 
     def check_terminal(self, block: Block) -> None:
-        sample = sorted(block.tuples)[:4]
+        sample = [self.space[i] for i in sorted(block.tuples)[:4]]
         sigs = [iso_type(self.alg, t).partition for t in sample]
         assert all(s == sigs[0] for s in sigs), "terminal block holds non-isomorphic tuples"
 
@@ -264,16 +310,16 @@ class _DebugChecker:
                         terms.append(t)
         return terms
 
-    def _check_term_representation(self, b: Block, value) -> None:
+    def _check_term_representation(self, b: Block) -> None:
         # every term up to the block's depth (capped at 2 to stay exhaustive
         # yet affordable) must agree on the block with a witness or a pending term
         d = min(b.depth(), 2)
-        candidates = tuple(b.witnesses) + tuple(b.terms_to_process)
+        column = self.columns.column
+        candidates = [column(c) for c in (*b.witnesses, *b.terms_to_process)]
 
         def represented(t: Term) -> bool:
-            return any(
-                all(value(t, v) == value(c, v) for v in b.tuples) for c in candidates
-            )
+            ct = column(t)
+            return any(all(ct[i] == cc[i] for i in b.tuples) for cc in candidates)
 
         for t in self._all_terms(d):
             assert represented(t), (
@@ -293,43 +339,26 @@ def _single_target(
 ):
     """Run the block loop on one repetition-free target.
 
-    Returns (True, formula) or (False, terminal_block).
+    Returns (True, formula) or (False, terminal_block), the terminal block
+    with its rows turned back into a set of tuples.
     """
-    memo: dict[tuple[Term, tuple[int, ...]], int] = {}
-
-    def value(t: Term, v: tuple[int, ...]) -> int:
-        key = (t, v)
-        r = memo.get(key)
-        if r is None:
-            if isinstance(t, Var):
-                r = v[t.index]
-            else:
-                r = alg.op(t.symbol).value([value(s, v) for s in t.args])
-            memo[key] = r
-        return r
-
-    checker = _DebugChecker(alg, target, k, check_term_repr) if debug else None
-    initial = Block(
-        frozenset(itertools.permutations(range(alg.size), k)),
-        (),
-        (),
-        [Var(i) for i in range(k)],
-        (),
-        0,
-    )
+    columns = TermColumns(alg, list(itertools.permutations(range(alg.size), k)))
+    member = [v in target for v in columns.space]
+    checker = _DebugChecker(columns, target, k, check_term_repr) if debug else None
+    initial = Block(list(range(len(columns.space))), (), (), [Var(i) for i in range(k)], (), 0)
     stats.blocks_created += 1
     pending: deque[Block] = deque([initial])
     disjunct_blocks: list[Block] = []
     while pending:
         b = pending.popleft()
         stats.max_depth = max(stats.max_depth, b.depth())
-        if b.tuples <= target:
+        if all(map(member.__getitem__, b.tuples)):
             disjunct_blocks.append(b)
             stats.full_blocks += 1
             if trace:
                 trace(f"full block of {len(b.tuples)} tuples at step {b.step}")
             continue
-        if not (b.tuples & target):
+        if not any(map(member.__getitem__, b.tuples)):
             if trace:
                 trace(f"disposable block of {len(b.tuples)} tuples at step {b.step}")
             continue
@@ -338,11 +367,12 @@ def _single_target(
                 trace(f"terminal mixed block of {len(b.tuples)} tuples")
             if checker:
                 checker.check_terminal(b)
+            b.tuples = frozenset(columns.space[i] for i in b.tuples)
             return False, b
-        successors = process_mixed_block(alg, b, value, stats)
+        successors = process_mixed_block(alg, b, columns, stats)
         if checker:
             for s in successors:
-                checker.check_block(s, value)
+                checker.check_block(s)
             if len(successors) > 1:
                 checker.check_split(successors)
             checker.check_system(itertools.chain(successors, pending), disjunct_blocks)

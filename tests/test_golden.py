@@ -1,0 +1,63 @@
+"""Golden digest of splitting's output text on a seeded instance set.
+
+The splitting strategy's formulas depend on the order in which blocks
+split and terms are tried, so any change to that order changes the text
+even when every answer stays correct.  The digest below was recorded
+from the dict-memo implementation that preceded the column kernel.
+"""
+
+import hashlib
+import itertools
+import random
+
+from qfdef import (
+    Relation,
+    extension,
+    format_formula,
+    gen_abelian_group,
+    gen_boolean_algebra,
+    gen_random_algebra,
+    gen_random_formula,
+    gen_random_graph,
+    graph_star,
+    splitting_decide,
+)
+
+GOLDEN_SHA256 = "20b5e87c383930a50d83ab886e7929d8d619962218f3c111cb8eccd13ddbe336"
+
+
+def golden_algebras():
+    yield "abelian", gen_abelian_group((2, 4))
+    yield "abelian", gen_abelian_group((3, 3))
+    yield "boolean", gen_boolean_algebra(3)
+    for seed in range(2):
+        yield "graph-star", graph_star(gen_random_graph(5, seed=seed))[0]
+    for seed in range(2):
+        yield "random", gen_random_algebra(5, signature=(("f", 2), ("g", 1)), seed=seed)
+    yield "random", gen_random_algebra(4, signature=(("f", 2), ("g", 3)), seed=2)
+
+
+def golden_instances():
+    """Formula extensions of arity 2 and 3, plus one random relation per algebra."""
+    for i, (family, alg) in enumerate(golden_algebras()):
+        for k in (2, 3):
+            for j in range(3):
+                phi = gen_random_formula(alg, k, seed=1000 * i + 10 * k + j)
+                yield f"{family}/{i}/k{k}/phi{j}", alg, extension(alg, phi, k)
+        rng = random.Random(i)
+        space = list(itertools.product(range(alg.size), repeat=2))
+        yield f"{family}/{i}/k2/random", alg, Relation.of(2, rng.sample(space, len(space) // 3))
+
+
+def golden_lines():
+    for name, alg, rel in golden_instances():
+        d = splitting_decide(alg, rel)
+        if d.is_definable:
+            yield f"{name} {format_formula(d.formula, alg.constants)}"
+        else:
+            yield f"{name} not {d.witness_in} {d.witness_out}"
+
+
+def test_splitting_output_matches_golden_digest():
+    digest = hashlib.sha256("\n".join(golden_lines()).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256

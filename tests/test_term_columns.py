@@ -1,0 +1,103 @@
+import itertools
+import random
+
+import pytest
+
+from qfdef import (
+    Algebra,
+    App,
+    Eq,
+    Var,
+    eval_formula,
+    eval_term,
+    extension,
+    gen_random_algebra,
+    gen_random_formula,
+)
+from qfdef.algebra import EXTENSION_CHUNK, TermColumns
+
+SIGNATURE = (("u", 1), ("f", 2), ("g", 3))
+
+
+def with_constant(alg: Algebra, value: int) -> Algebra:
+    """`alg` plus a constant `e`, declared with arity 0."""
+    return Algebra(alg.size, [*((op.symbol, op.arity, op.table) for op in alg.ops), ("e", 0, [value])])
+
+
+def random_term(alg: Algebra, k: int, rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return Var(rng.randrange(k))
+    if roll < 0.35:
+        return App("e", ())  # the bare constant, as the parser reads it
+    op = alg.ops[rng.randrange(len(alg.ops))]
+    return App(op.symbol, tuple(random_term(alg, k, rng, depth - 1) for _ in range(op.arity)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_matches_eval_term(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    k = rng.randint(1, 3)
+    alg = with_constant(gen_random_algebra(n, SIGNATURE, seed=seed), rng.randrange(n))
+    space = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(40)]
+    kernel = TermColumns(alg, space)
+    terms = [random_term(alg, k, rng, 3) for _ in range(60)]
+    # every operation, with and without the constant rewrite, appears at least once
+    terms += [App("u", (Var(0),)), App("f", (Var(0), Var(k - 1))), App("g", (Var(0),) * 3)]
+    terms += [App("e", ()), App("e", (Var(0),)), App("f", (App("e", ()), Var(0)))]
+    for t in terms:
+        col = kernel.column(t)
+        assert len(col) == len(space)
+        assert col == [eval_term(alg, t, a) for a in space], t
+        assert kernel.column(t) is col  # memoised
+
+
+def test_truth_matches_eval_formula():
+    for seed in range(6):
+        alg = gen_random_algebra(4, SIGNATURE, seed=seed)
+        space = list(itertools.product(range(4), repeat=2))
+        kernel = TermColumns(alg, space)
+        phi = gen_random_formula(alg, 2, seed=seed)
+        assert kernel.truth(phi) == [eval_formula(alg, phi, a) for a in space]
+
+
+def test_arity_mismatch_raises_like_eval_term():
+    alg = with_constant(gen_random_algebra(3, SIGNATURE, seed=0), 1)
+    kernel = TermColumns(alg, [(0, 1), (2, 2)])
+    for bad in (
+        App("f", (Var(0),)),
+        App("g", (Var(0), Var(1))),
+        App("u", ()),
+        App("u", (App("f", (Var(0),)),)),
+        App("bogus", (Var(0),)),
+        Var(2),
+    ):
+        with pytest.raises(ValueError) as from_eval:
+            eval_term(alg, bad, (0, 1))
+        with pytest.raises(ValueError) as from_kernel:
+            kernel.column(bad)
+        assert str(from_kernel.value) == str(from_eval.value)
+
+
+def test_bare_constant_column_is_full_length():
+    alg = Algebra(3, [("f", 2, [0] * 9), ("e", 0, [2])])
+    kernel = TermColumns(alg, [(0,), (1,), (2,)])
+    assert kernel.column(App("e", ())) == [2, 2, 2]
+    assert extension(alg, Eq(App("e", ()), Var(0)), 1).tuples == frozenset({(2,)})
+
+
+def test_empty_space_gives_empty_columns():
+    kernel = TermColumns(gen_random_algebra(2, SIGNATURE, seed=0), [])
+    assert kernel.column(App("f", (Var(0), Var(5)))) == []
+    assert kernel.truth(Eq(Var(0), Var(1))) == []
+
+
+def test_extension_across_chunk_boundaries():
+    alg = gen_random_algebra(7, SIGNATURE, seed=3)
+    space = list(itertools.product(range(7), repeat=3))
+    assert len(space) > EXTENSION_CHUNK
+    for seed in range(4):
+        phi = gen_random_formula(alg, 3, seed=seed)
+        expected = frozenset(a for a in space if eval_formula(alg, phi, a))
+        assert extension(alg, phi, 3).tuples == expected
