@@ -14,7 +14,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +271,21 @@ class Algebra:
         ops: Iterable[tuple[str, int, Sequence[int]]],
         element_names: Sequence[str] | None = None,
     ):
-        if size < 1:
-            raise ValueError(f"algebra size must be >= 1, got {size}")
+        if type(size) is not int or size < 1:
+            raise ValueError(f"algebra size must be an integer >= 1, got {size!r}")
         self.size = size
         normalized: list[Operation] = []
         constants: set[str] = set()
         for symbol, arity, table in ops:
-            if arity < 0:
-                raise ValueError(f"operation {symbol!r} has negative arity")
+            if type(arity) is not int or arity < 0:
+                raise ValueError(f"operation {symbol!r} arity must be an integer >= 0, got {arity!r}")
             table = tuple(table)
             if len(table) != size**arity:
                 raise ValueError(
                     f"operation {symbol!r} table has {len(table)} entries, expected {size**arity}"
                 )
-            if any(not (0 <= v < size) for v in table):
-                raise ValueError(f"operation {symbol!r} table has out-of-range values")
+            if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size:
+                raise ValueError(f"operation {symbol!r} table has out-of-range or non-integer values")
             if arity == 0:
                 # constants become unary constant operations; remember the
                 # rewrite so the printer can restore the bare symbol
@@ -501,6 +501,21 @@ def extension(alg: Algebra, phi: QfFormula, k: int) -> Relation:
     while chunk := list(itertools.islice(product, EXTENSION_CHUNK)):
         hits.extend(itertools.compress(chunk, TermColumns(alg, chunk).truth(phi)))
     return Relation(k, frozenset(hits))
+
+
+def applications(
+    alg: Algebra, base: Sequence[int], fresh: set[int]
+) -> Iterator[tuple[Operation, list[tuple[int, ...]]]]:
+    """One semi-naive closure round in the canonical order, as (op, index tuples).
+
+    Operations come by arity, then declared symbol order; each gets the
+    argument tuples over `base`, lexicographically, that use a position
+    in `fresh` (the others were applied in an earlier round).
+    """
+    for r in alg.arities:
+        index_tuples = [lt for lt in itertools.product(base, repeat=r) if not fresh.isdisjoint(lt)]
+        for op in alg.ops_of_arity(r):
+            yield op, index_tuples
 
 
 def sg(alg: Algebra, a: Sequence[int]) -> frozenset[int]:
@@ -722,10 +737,11 @@ def algebra_to_json(alg: Algebra) -> dict:
 def algebra_from_json(doc: dict) -> Algebra:
     try:
         size = doc["size"]
-        operations = doc["operations"]
-    except (TypeError, KeyError) as e:
+        ops = [(sym, spec["arity"], tuple(spec["table"])) for sym, spec in doc["operations"].items()]
+    except KeyError as e:
         raise ValueError(f"malformed algebra document: missing {e}") from None
-    ops = [(sym, spec["arity"], spec["table"]) for sym, spec in operations.items()]
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed algebra document: {e}") from None
     return Algebra(size, ops, element_names=doc.get("elements"))
 
 
@@ -746,9 +762,14 @@ def relation_to_json(rel: Relation) -> dict:
 
 def relation_from_json(doc: dict) -> Relation:
     try:
-        return Relation.of(doc["arity"], doc["tuples"])
+        arity, tuples = doc["arity"], doc["tuples"]
     except (TypeError, KeyError) as e:
         raise ValueError(f"malformed relation document: missing {e}") from None
+    # entries are checked here, once per load, and not in every decision
+    ints = type(tuples) is list and all(type(t) is list and all(type(v) is int for v in t) for t in tuples)
+    if type(arity) is not int or not ints:
+        raise ValueError("malformed relation document: arity and tuple entries must be integers")
+    return Relation.of(arity, tuples)
 
 
 def load_relation(path: str) -> Relation:

@@ -9,11 +9,12 @@ generate, and in that case the ordered universes line up pointwise.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra
+from .algebra import Algebra, applications
 
 
 @dataclass(frozen=True)
@@ -31,68 +32,68 @@ class IsoSignature:
     depth: int
 
 
-def _closure_run(alg: Algebra, a: Sequence[int], collect_terms: bool):
+def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
+    """Canonical isomorphism type of `a`; pure and deterministic.
+
+    Closure position i holds the i-th value produced: the entries of `a`,
+    then each round of `applications` over the first appearances so far,
+    up to the first round that adds no new value.
+    """
+    a = tuple(a)
     if not a:
         raise ValueError("cannot compute the type of an empty tuple")
-    values = list(a)
-    terms: list[str] | None = [f"x{i}" for i in range(len(a))] if collect_terms else None
+    values: list[int] = []
     blocks: list[list[int]] = []
     block_of_value: dict[int, int] = {}
     firsts: list[int] = []  # first-appearance indices, always increasing
-    for i, x in enumerate(a):
-        bi = block_of_value.get(x)
-        if bi is None:
-            block_of_value[x] = len(blocks)
-            blocks.append([i])
-            firsts.append(i)
-        else:
-            blocks[bi].append(i)
-    fresh = list(firsts)
-    depth = 0
-    while fresh:
-        depth += 1
-        base = list(firsts)
-        fresh_set = set(fresh)
-        for r in alg.arities:
-            index_tuples = [
-                lt
-                for lt in itertools.product(base, repeat=r)
-                if any(l in fresh_set for l in lt)
-            ]
-            for op in alg.ops_of_arity(r):
-                for lt in index_tuples:
-                    v = op.value([values[l] for l in lt])
-                    values.append(v)
-                    if terms is not None:
-                        terms.append(op.symbol + "(" + ",".join(terms[l] for l in lt) + ")")
-                    i = len(values) - 1
-                    bi = block_of_value.get(v)
-                    if bi is None:
-                        block_of_value[v] = len(blocks)
-                        blocks.append([i])
-                        firsts.append(i)
-                    else:
-                        blocks[bi].append(i)
-        fresh = firsts[len(base):]
+    produced: Sequence[int] = a
+    for depth in itertools.count():
+        known = len(firsts)
+        for v in produced:
+            i = len(values)
+            values.append(v)
+            bi = block_of_value.get(v)
+            if bi is None:
+                block_of_value[v] = len(blocks)
+                blocks.append([i])
+                firsts.append(i)
+            else:
+                blocks[bi].append(i)
+        if len(firsts) == known:
+            break
+        # listed in full before recording, so the round's base is `firsts` as it stands now
+        produced = [
+            op.value([values[l] for l in lt])
+            for op, index_tuples in applications(alg, firsts, set(firsts[known:]))
+            for lt in index_tuples
+        ]
     # first-appearance indices must point at pairwise distinct values
     assert len(block_of_value) == len(firsts)
-    sig = IsoSignature(
+    return IsoSignature(
         partition=tuple(tuple(b) for b in blocks),
         universe=tuple(values[j] for j in firsts),
         depth=depth,
     )
-    return sig, (tuple(terms) if terms is not None else None)
-
-
-def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
-    """Canonical isomorphism type of `a`; pure and deterministic."""
-    return _closure_run(alg, tuple(a), collect_terms=False)[0]
 
 
 def iso_type_terms(alg: Algebra, a: Sequence[int]) -> tuple[IsoSignature, tuple[str, ...]]:
-    """Trace variant: also materialize the term string evaluated at each index."""
-    sig, terms = _closure_run(alg, tuple(a), collect_terms=True)
-    return sig, terms
+    """Trace variant: also the term evaluated at each closure position.
+
+    The terms are rebuilt by replaying the closure's rounds: the positions
+    first appearing in a round are the partition's block minima that fall
+    inside it, and they feed the next round's `applications`.
+    """
+    sig = iso_type(alg, a)
+    firsts = [block[0] for block in sig.partition]
+    terms = [f"x{i}" for i in range(len(a))]
+    lo = 0
+    for _ in range(sig.depth):
+        hi = bisect.bisect_left(firsts, len(terms))
+        for op, index_tuples in applications(alg, firsts[:hi], set(firsts[lo:hi])):
+            for lt in index_tuples:
+                terms.append(op.symbol + "(" + ",".join(terms[l] for l in lt) + ")")
+        lo = hi
+    return sig, tuple(terms)
 
 
 class IsoTypeCache:

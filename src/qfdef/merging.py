@@ -15,13 +15,14 @@ This strategy never produces a defining formula.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from typing import Callable, Sequence
 
 from .algebra import FALSE, Algebra, Relation
 from .decision import Decision, Definable, NotDefinable
-from .isotype import IsoTypeCache, Subisomorphism, iso_type
-from .preprocess import TargetBundle, decompose, distinct_tuples_over, expand, rel_type
+from .isotype import Subisomorphism, iso_type
+from .preprocess import TargetBundle, decompose, expand, rel_type
 
 Trace = Callable[[str], None]
 
@@ -130,17 +131,14 @@ class OrbitStore:
 
     def _check_partition(self, arity: int) -> None:
         total = sum(len(o.block) for o in self.orbits[arity])
-        space = 1
-        for i in range(arity):
-            space *= self.alg.size - i
-        assert total == max(space, 0), "orbit blocks no longer partition the tuple space"
+        assert total == math.perm(self.alg.size, arity), "orbit blocks no longer partition the tuple space"
         for o in self.orbits[arity]:
             for t in o.block:
                 assert self.handle[t] is o, "stale orbit handle"
 
     def check_all_known(self, sub: frozenset[int]) -> None:
         for k in self.spec:
-            for a in distinct_tuples_over(sub, k):
+            for a in itertools.permutations(sorted(sub), k):
                 assert self.handle[a].tagged, f"tuple {a} left untyped on a closed subuniverse"
 
 
@@ -175,10 +173,8 @@ class _StackEntry:
 
 
 def _sorted_tuples(elements: frozenset[int], spec: Sequence[int]) -> deque:
-    out: deque = deque()
-    for k in spec:
-        out.extend(distinct_tuples_over(elements, k))
-    return out
+    ordered = sorted(elements)
+    return deque(t for k in spec for t in itertools.permutations(ordered, k))
 
 
 def _conflict_decision(
@@ -207,61 +203,49 @@ def merging_decide(
     if not bundle.targets:
         return Definable(FALSE)
     store = OrbitStore(alg, bundle, debug=debug)
-    cache = IsoTypeCache(alg)
     universe = frozenset(range(alg.size))
     stack = [_StackEntry(universe, _sorted_tuples(universe, bundle.spec), [])]
     while stack:
         entry = stack[-1]
-        pushed = False
         while entry.pending:
             a = entry.pending.popleft()
             if store.handle[a].tagged:
                 continue
-            sig = cache.get(a)
+            sig = iso_type(alg, a)
             type_a, universe_a = sig.partition, sig.universe
             if trace:
                 trace(f"pop {a}: new type, |sg|={len(universe_a)}, |node|={len(entry.sub)}")
-            if len(universe_a) == len(entry.sub):
-                hit = None
-                for g in entry.generators:
-                    og = store.handle[g]
-                    if og.type == type_a:
-                        hit = og
-                        break
-                if hit is not None:
-                    gamma = Subisomorphism(universe_a, hit.universe)
-                    if trace:
-                        trace(f"  matches a generator; merging along {gamma!r}")
-                    if not try_merge_orbits(gamma, store):
-                        if trace:
-                            trace(f"  conflict at {store.conflict}")
-                        return _conflict_decision(store, bundle, gamma)
-                else:
-                    store.tag_orbit(a, type_a, universe_a)
-                    entry.generators.append(a)
-                    if trace:
-                        trace("  tagged as a new generator")
+            # a tuple generating the whole node is matched against the node's
+            # generators only; a smaller one against every tagged orbit
+            generates_node = len(universe_a) == len(entry.sub)
+            if generates_node:
+                hit = next((o for o in map(store.orbit, entry.generators) if o.type == type_a), None)
             else:
                 hit = store.find_tagged(len(a), type_a)
-                if hit is not None:
-                    gamma = Subisomorphism(universe_a, hit.universe)
+            if hit is not None:
+                gamma = Subisomorphism(universe_a, hit.universe)
+                if trace:
+                    matched = "a generator" if generates_node else "a tagged orbit"
+                    trace(f"  matches {matched}; merging along {gamma!r}")
+                if not try_merge_orbits(gamma, store):
                     if trace:
-                        trace(f"  matches a tagged orbit; merging along {gamma!r}")
-                    if not try_merge_orbits(gamma, store):
-                        if trace:
-                            trace(f"  conflict at {store.conflict}")
-                        return _conflict_decision(store, bundle, gamma)
-                else:
-                    store.tag_orbit(a, type_a, universe_a)
-                    sub = frozenset(universe_a)
-                    if debug:
-                        assert len(sub) < len(entry.sub), "pushed node must be strictly smaller"
-                    stack.append(_StackEntry(sub, _sorted_tuples(sub, bundle.spec), [a]))
-                    if trace:
-                        trace(f"  descend into subuniverse {sorted(sub)}")
-                    pushed = True
-                    break
-        if not pushed and not entry.pending:
+                        trace(f"  conflict at {store.conflict}")
+                    return _conflict_decision(store, bundle, gamma)
+                continue
+            store.tag_orbit(a, type_a, universe_a)
+            if generates_node:
+                entry.generators.append(a)
+                if trace:
+                    trace("  tagged as a new generator")
+                continue
+            sub = frozenset(universe_a)
+            if debug:
+                assert len(sub) < len(entry.sub), "pushed node must be strictly smaller"
+            stack.append(_StackEntry(sub, _sorted_tuples(sub, bundle.spec), [a]))
+            if trace:
+                trace(f"  descend into subuniverse {sorted(sub)}")
+            break
+        else:  # the node is exhausted without a descent
             if debug:
                 store.check_all_known(entry.sub)
             stack.pop()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import And, Eq, Not, QfFormula, Relation, Var, substitute_formula
 from .algebra import Algebra, formula_variables
@@ -136,11 +136,6 @@ def distinct_tuples(alg: Algebra, k: int) -> Iterator[tuple[int, ...]]:
     if k < 1:
         raise ValueError(f"arity must be >= 1, got {k}")
     return itertools.permutations(range(alg.size), k)
-
-
-def distinct_tuples_over(elements: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:
-    """Repetition-free k-tuples over an arbitrary element set, lexicographically."""
-    return itertools.permutations(sorted(elements), k)
 
 
 def recombine(pat: Pattern, phi: QfFormula, k: int) -> QfFormula:

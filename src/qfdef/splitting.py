@@ -46,6 +46,7 @@ from .algebra import (
     TermColumns,
     Term,
     Var,
+    applications,
     extension,
 )
 from .decision import Decision, Definable, NotDefinable
@@ -119,24 +120,17 @@ def generate_terms(
     alg: Algebra, witnesses: Sequence[Term], new_witnesses: Sequence[Term]
 ) -> list[Term]:
     """Next layer of terms: every operation applied to witnesses, using at
-    least one new witness, ordered by arity, then declared symbol order,
-    then lexicographic argument positions."""
+    least one new witness, in the canonical order of `applications`, the
+    order in which `iso_type` closes a tuple."""
     if not new_witnesses:
         raise ValueError("term generation needs at least one new witness")
     new_set = set(new_witnesses)
-    positions = range(len(witnesses))
     new_positions = {i for i, w in enumerate(witnesses) if w in new_set}
-    out: list[Term] = []
-    for r in alg.arities:
-        index_tuples = [
-            lt
-            for lt in itertools.product(positions, repeat=r)
-            if any(l in new_positions for l in lt)
-        ]
-        for op in alg.ops_of_arity(r):
-            for lt in index_tuples:
-                out.append(App(op.symbol, tuple(witnesses[l] for l in lt)))
-    return out
+    return [
+        App(op.symbol, tuple(witnesses[l] for l in lt))
+        for op, index_tuples in applications(alg, range(len(witnesses)), new_positions)
+        for lt in index_tuples
+    ]
 
 
 def process_mixed_block(

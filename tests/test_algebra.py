@@ -151,6 +151,11 @@ def test_algebra_validation():
         Algebra(2, [("f", 2, [0, 1, 1])])
     with pytest.raises(ValueError, match="out-of-range"):
         Algebra(2, [("f", 1, [0, 2])])
+    with pytest.raises(ValueError, match="size"):
+        Algebra(True, [])
+    for entry in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="non-integer"):
+            Algebra(2, [("f", 1, [0, entry])])
     with pytest.raises(ValueError, match="duplicate"):
         Algebra(2, [("f", 1, [0, 1]), ("f", 1, [1, 0])])
 
@@ -202,3 +207,14 @@ def test_element_names(diamond):
         diamond.element("nope")
     with pytest.raises(ValueError):
         diamond.element("7")
+
+
+def test_json_loaders_reject_malformed_documents():
+    for tuples in ([[0, True]], [[0, 1.0]], [[0, "1"]], [0, 1], 5):
+        with pytest.raises(ValueError, match="malformed relation document"):
+            relation_from_json({"arity": 2, "tuples": tuples})
+    with pytest.raises(ValueError, match="malformed relation document"):
+        relation_from_json({"arity": True, "tuples": []})
+    for operations in ({"f": 5}, {"f": {"arity": 1, "table": 5}}, [["f", 1, [0, 1]]]):
+        with pytest.raises(ValueError, match="malformed algebra document"):
+            algebra_from_json({"size": 2, "operations": operations})

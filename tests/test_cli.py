@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,33 @@ def test_decide_trace_and_invariants(capsys, diamond_files):
     captured = capsys.readouterr()
     assert code == 0
     assert "pop" in captured.err
+
+
+def _run_cli(argv):
+    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "qfdef.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_decide_rejects_non_integer_tuple_entry(diamond_files, tmp_path):
+    alg, _, _ = diamond_files
+    rel_path = tmp_path / "string_entry.json"
+    rel_path.write_text(json.dumps({"arity": 2, "tuples": [[0, "1"]]}))
+    proc = _run_cli(["decide", "--strategy", "merging", "--algebra", alg, "--relation", str(rel_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry", ["true", "1.0"])
+def test_decide_rejects_non_integer_table_entry(tmp_path, entry):
+    alg_path = tmp_path / "bad_table.json"
+    alg_path.write_text('{"size": 2, "operations": {"f": {"arity": 1, "table": [0, %s]}}}' % entry)
+    rel_path = tmp_path / "r.json"
+    save_relation(Relation.of(2, [(0, 1)]), str(rel_path))
+    argv = ["decide", "--strategy", "splitting", "--algebra", str(alg_path), "--relation", str(rel_path)]
+    proc = _run_cli(argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -1,9 +1,13 @@
-"""Golden digest of splitting's output text on a seeded instance set.
+"""Golden digests of splitting's output text and of iso_type on seeded inputs.
 
 The splitting strategy's formulas depend on the order in which blocks
 split and terms are tried, so any change to that order changes the text
 even when every answer stays correct.  The digest below was recorded
 from the dict-memo implementation that preceded the column kernel.
+
+`iso_type` fixes the canonical order in which a tuple is closed under
+the operations; its partition indices and trace terms name positions in
+that order, so the second digest guards the order itself.
 """
 
 import hashlib
@@ -20,8 +24,10 @@ from qfdef import (
     gen_random_formula,
     gen_random_graph,
     graph_star,
+    iso_type,
     splitting_decide,
 )
+from qfdef.isotype import iso_type_terms
 
 GOLDEN_SHA256 = "20b5e87c383930a50d83ab886e7929d8d619962218f3c111cb8eccd13ddbe336"
 
@@ -61,3 +67,37 @@ def golden_lines():
 def test_splitting_output_matches_golden_digest():
     digest = hashlib.sha256("\n".join(golden_lines()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# iso_type: canonical partitions, universes, depths and trace text
+# ---------------------------------------------------------------------------
+
+# Recorded from the closure with a term-collecting flag that preceded the
+# shared `applications` enumeration.
+ISOTYPE_GOLDEN_SHA256 = "0f17559515f2bcc825e6faffc5d08aee04d2926e46e324bb557207004d6b4d3f"
+
+
+def isotype_golden_algebras():
+    """Seeded random algebras covering arity-0, 1, 2 and 3 symbols."""
+    yield gen_random_algebra(4, signature=(("c", 0), ("u", 1), ("f", 2)), seed=0)
+    yield gen_random_algebra(3, signature=(("f", 2), ("g", 3)), seed=1)
+    yield gen_random_algebra(4, signature=(("h", 3), ("c", 0)), seed=2)
+    yield gen_random_algebra(5, signature=(("u", 1), ("f", 2), ("v", 1)), seed=3)
+    # unary-only, so tuples generate proper subuniverses of several sizes
+    yield gen_random_algebra(6, signature=(("u", 1), ("v", 1)), seed=5)
+
+
+def isotype_golden_lines():
+    for i, alg in enumerate(isotype_golden_algebras()):
+        for k in (1, 2, 3):
+            for a in itertools.product(range(alg.size), repeat=k):
+                sig = iso_type(alg, a)
+                traced, terms = iso_type_terms(alg, a)
+                assert traced == sig
+                yield f"{i} {a} {sig.partition} {sig.universe} {sig.depth} {','.join(terms)}"
+
+
+def test_iso_type_matches_golden_digest():
+    digest = hashlib.sha256("\n".join(isotype_golden_lines()).encode()).hexdigest()
+    assert digest == ISOTYPE_GOLDEN_SHA256

@@ -66,22 +66,30 @@ def test_empty_tuple_rejected(diamond):
         iso_type(diamond, ())
 
 
-def test_trace_terms_coordinate_with_values(diamond):
+def _assert_terms_coordinate(alg, a):
     from qfdef import eval_term, parse_term
 
-    sig, terms = iso_type_terms(diamond, (1, 2, 0))
-    assert terms[:3] == ("x0", "x1", "x2")
-    assert len(terms) == 35
-    # every recorded term evaluates to the value at its index
-    values = {}
-    for block in sig.partition:
+    sig, terms = iso_type_terms(alg, a)
+    assert sig == iso_type(alg, a)
+    assert terms[: len(a)] == tuple(f"x{i}" for i in range(len(a)))
+    assert len(terms) == sum(len(block) for block in sig.partition)
+    # every recorded term evaluates to the value at its index, which is
+    # the universe element of the partition block holding that index
+    for j, block in enumerate(sig.partition):
         for i in block:
-            values[i] = block[0]
-    a = (1, 2, 0)
-    for i, text in enumerate(terms):
-        assert eval_term(diamond, parse_term(text), a) == eval_term(
-            diamond, parse_term(terms[values[i]]), a
-        )
+            assert eval_term(alg, parse_term(terms[i]), a) == sig.universe[j]
+
+
+def test_trace_terms_coordinate_with_values(diamond):
+    from test_golden import isotype_golden_algebras
+
+    _assert_terms_coordinate(diamond, (1, 2, 0))
+    assert len(iso_type_terms(diamond, (1, 2, 0))[1]) == 35
+    # algebras with constants and unary, binary and ternary symbols
+    for alg in isotype_golden_algebras():
+        for k in (1, 2, 3):
+            for a in itertools.islice(itertools.product(range(alg.size), repeat=k), 0, None, 7):
+                _assert_terms_coordinate(alg, a)
 
 
 def test_cache_returns_identical_signatures(diamond):
