@@ -303,7 +303,11 @@ class Algebra:
         self._by_arity = by_arity
         self.arities: tuple[int, ...] = tuple(sorted(by_arity))
         if element_names is not None:
+            if isinstance(element_names, str) or not isinstance(element_names, Sequence):
+                raise ValueError(f"element_names must be a sequence of strings, got {element_names!r}")
             element_names = tuple(element_names)
+            if any(type(name) is not str for name in element_names):
+                raise ValueError("element_names must all be strings")
             if len(element_names) != size:
                 raise ValueError("element_names length must equal size")
             if len(set(element_names)) != size:

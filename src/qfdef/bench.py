@@ -134,10 +134,12 @@ def bench(config: BenchConfig) -> Iterator[BenchRecord]:
                 decision = decide(alg, rel)
                 elapsed = time.perf_counter() - t0
                 # verification is outside the timed region
-                assert decision.is_definable, "a formula-extension target must be definable"
+                if not decision.is_definable:
+                    raise AssertionError("a formula-extension target must be definable")
                 if decision.formula is not None:
                     got = extension(alg, decision.formula, config.target_arity)
-                    assert got.tuples == rel.tuples, "returned formula does not define the target"
+                    if got.tuples != rel.tuples:
+                        raise AssertionError("returned formula does not define the target")
                 outcomes["definable" if decision.is_definable else "not_definable"] += 1
                 if config.time_budget is not None and elapsed > config.time_budget:
                     timeouts += 1

@@ -188,5 +188,6 @@ def subiso_from_signatures(
     if sig_a.partition != sig_b.partition:
         return None
     gamma = Subisomorphism(sig_a.universe, sig_b.universe)
-    assert gamma.map_tuple(tuple(a)) == tuple(b)
+    if gamma.map_tuple(tuple(a)) != tuple(b):
+        raise AssertionError("the canonical isomorphism does not send a to b")
     return gamma

@@ -27,27 +27,18 @@ from .preprocess import TargetBundle, decompose, expand, rel_type
 Trace = Callable[[str], None]
 
 
-class Orbit:
-    __slots__ = ("block", "rel_type", "type", "universe", "universe_donor")
-
-    def __init__(self, block: set, rt: tuple[bool, ...]):
-        self.block = block
-        self.rel_type = rt
-        self.type: tuple[tuple[int, ...], ...] | None = None
-        self.universe: tuple[int, ...] | None = None
-        self.universe_donor: tuple[int, ...] | None = None  # debug bookkeeping
-
-    @property
-    def tagged(self) -> bool:
-        return self.type is not None
-
-
 class OrbitStore:
-    """Per-arity orbit partitions with a direct tuple-to-orbit index.
+    """Orbit partitions of the repetition-free tuples, as a union-find over tuple codes.
 
-    Merges move the smaller block into the larger one.  Tagged types are
-    indexed per arity, which both speeds up lookups and enforces that a
-    type is never carried by two distinct orbits.
+    A k-tuple's code is its base-n value over the universe plus the
+    offset of arity k, so one flat `parent` forest covers every arity in
+    the spec (codes of tuples with repeated entries stay singletons).
+    Unions go by size with path halving.  A tuple's membership vector is
+    an int whose bit j says it lies in target j; only target tuples are
+    stored, and an orbit's membership is that of any of its members,
+    since orbits of unequal membership never merge.  Type, universe and
+    the per-arity type -> root index live on roots only; the index also
+    enforces that a type is never carried by two distinct orbits.
     """
 
     def __init__(self, alg: Algebra, bundle: TargetBundle, *, debug: bool = False):
@@ -55,62 +46,89 @@ class OrbitStore:
         self.bundle = bundle
         self.spec = bundle.spec
         self.debug = debug
-        self.orbits: dict[int, set[Orbit]] = {}
-        self.handle: dict[tuple[int, ...], Orbit] = {}
-        self.tagged_index: dict[int, dict[tuple, Orbit]] = {k: {} for k in self.spec}
-        self.conflict: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self.offset: dict[int, int] = {}
+        total = 0
         for k in self.spec:
-            orbits_k: set[Orbit] = set()
-            for a in itertools.permutations(range(alg.size), k):
-                o = Orbit({a}, rel_type(a, bundle))
-                orbits_k.add(o)
-                self.handle[a] = o
-            self.orbits[k] = orbits_k
+            self.offset[k] = total
+            total += alg.size**k
+        self.parent = list(range(total))
+        self.size = [1] * total
+        self.membership: dict[int, int] = {}
+        for j, target in enumerate(bundle.targets):
+            bit = 1 << j
+            for t in target.tuples:
+                c = self.code(t)
+                self.membership[c] = self.membership.get(c, 0) | bit
+        self.type: dict[int, tuple] = {}
+        self.universe: dict[int, tuple[int, ...]] = {}
+        self.universe_donor: dict[int, tuple[int, ...]] = {}  # debug bookkeeping
+        self.tagged_index: dict[int, dict[tuple, int]] = {k: {} for k in self.spec}
+        self.conflict: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    def orbit(self, a: tuple[int, ...]) -> Orbit:
-        return self.handle[a]
+    def code(self, a: Sequence[int]) -> int:
+        n, c = self.alg.size, 0
+        for x in a:
+            c = c * n + x
+        return self.offset[len(a)] + c
 
-    def find_tagged(self, arity: int, type_: tuple) -> Orbit | None:
+    def orbit(self, a: Sequence[int]) -> int:
+        """The root code of the orbit holding `a`, halving the path to it."""
+        parent, c = self.parent, self.code(a)
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    def membership_vector(self, root: int) -> tuple[bool, ...]:
+        """The membership vector of an orbit, as `preprocess.rel_type` spells it."""
+        m = self.membership.get(root, 0)
+        return tuple(bool(m >> j & 1) for j in range(len(self.bundle.targets)))
+
+    def members(self, root: int, arity: int) -> list[tuple[int, ...]]:
+        """The tuples of an orbit, in lexicographic order (a full scan)."""
+        return [a for a in itertools.permutations(range(self.alg.size), arity) if self.orbit(a) == root]
+
+    def find_tagged(self, arity: int, type_: tuple) -> int | None:
         return self.tagged_index[arity].get(type_)
 
     def tag_orbit(
         self, a: tuple[int, ...], type_: tuple, universe: tuple[int, ...]
     ) -> None:
-        o = self.handle[a]
-        if o.tagged:
-            assert o.type == type_, "orbit retagged with a different type"
+        r = self.orbit(a)
+        if r in self.type:
+            if self.type[r] != type_:
+                raise AssertionError("orbit retagged with a different type")
             return
-        existing = self.tagged_index[len(a)].get(type_)
-        assert existing is None, "type already carried by another orbit"
-        o.type = type_
-        o.universe = universe
-        o.universe_donor = a
-        self.tagged_index[len(a)][type_] = o
+        if type_ in self.tagged_index[len(a)]:
+            raise AssertionError("type already carried by another orbit")
+        self.type[r] = type_
+        self.universe[r] = universe
+        self.universe_donor[r] = a
+        self.tagged_index[len(a)][type_] = r
         if self.debug:
-            self._check_orbit(o, len(a))
+            self._check_orbit(r, len(a))
 
-    def merge(self, first: Orbit, second: Orbit, arity: int) -> Orbit:
-        """Join two distinct orbits of equal membership vector.
+    def merge(self, first: int, second: int, arity: int) -> int:
+        """Join two distinct orbits of equal membership, given by their roots.
 
-        The annotation of the first orbit wins when present, otherwise the
-        second's; at most one of the two can be tagged.
+        The smaller tree hangs under the larger one's root, which takes
+        over the annotation of whichever of the two was tagged; at most
+        one of them can be.
         """
-        assert first is not second
-        assert first.rel_type == second.rel_type
-        assert not (first.tagged and second.tagged), "two tagged orbits may never merge"
-        if first.tagged:
-            t, u, donor = first.type, first.universe, first.universe_donor
-        elif second.tagged:
-            t, u, donor = second.type, second.universe, second.universe_donor
-        else:
-            t, u, donor = None, None, None
-        big, small = (first, second) if len(first.block) >= len(second.block) else (second, first)
-        big.block |= small.block
-        for tup in small.block:
-            self.handle[tup] = big
-        self.orbits[arity].discard(small)
-        big.type, big.universe, big.universe_donor = t, u, donor
+        if first == second:
+            raise AssertionError("an orbit merged with itself")
+        if self.membership.get(first, 0) != self.membership.get(second, 0):
+            raise AssertionError("orbits of unequal membership may never merge")
+        if first in self.type and second in self.type:
+            raise AssertionError("two tagged orbits may never merge")
+        size = self.size
+        big, small = (first, second) if size[first] >= size[second] else (second, first)
+        self.parent[small] = big
+        size[big] += size[small]
+        t = self.type.pop(small, None)
         if t is not None:
+            self.type[big] = t
+            self.universe[big] = self.universe.pop(small)
+            self.universe_donor[big] = self.universe_donor.pop(small)
             self.tagged_index[arity][t] = big
         if self.debug:
             self._check_orbit(big, arity)
@@ -119,27 +137,34 @@ class OrbitStore:
 
     # -- debug invariant suite ------------------------------------------------
 
-    def _check_orbit(self, o: Orbit, arity: int) -> None:
-        for t in o.block:
-            assert rel_type(t, self.bundle) == o.rel_type, "membership vector drift in a block"
-        if o.tagged:
-            donor_sig = iso_type(self.alg, o.universe_donor)
-            assert donor_sig.universe == o.universe, "stored universe does not match its donor"
-            sample = sorted(o.block)[: 2]
-            for t in sample:
-                assert iso_type(self.alg, t).partition == o.type, "tag differs from a member's type"
+    def _check_orbit(self, root: int, arity: int) -> None:
+        members = self.members(root, arity)
+        for t in members:
+            if rel_type(t, self.bundle) != self.membership_vector(root):
+                raise AssertionError("membership vector drift in an orbit")
+        if root in self.type:
+            donor_sig = iso_type(self.alg, self.universe_donor[root])
+            if donor_sig.universe != self.universe[root]:
+                raise AssertionError("stored universe does not match its donor")
+            for t in members[:2]:
+                if iso_type(self.alg, t).partition != self.type[root]:
+                    raise AssertionError("tag differs from a member's type")
 
     def _check_partition(self, arity: int) -> None:
-        total = sum(len(o.block) for o in self.orbits[arity])
-        assert total == math.perm(self.alg.size, arity), "orbit blocks no longer partition the tuple space"
-        for o in self.orbits[arity]:
-            for t in o.block:
-                assert self.handle[t] is o, "stale orbit handle"
+        counts: dict[int, int] = {}
+        for a in itertools.permutations(range(self.alg.size), arity):
+            r = self.orbit(a)
+            counts[r] = counts.get(r, 0) + 1
+        if sum(self.size[r] for r in counts) != math.perm(self.alg.size, arity):
+            raise AssertionError("orbit weights no longer partition the tuple space")
+        if any(self.size[r] != c for r, c in counts.items()):
+            raise AssertionError("stale orbit weight")
 
     def check_all_known(self, sub: frozenset[int]) -> None:
         for k in self.spec:
             for a in itertools.permutations(sorted(sub), k):
-                assert self.handle[a].tagged, f"tuple {a} left untyped on a closed subuniverse"
+                if self.orbit(a) not in self.type:
+                    raise AssertionError(f"tuple {a} left untyped on a closed subuniverse")
 
 
 def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
@@ -148,18 +173,39 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
     Returns False the moment a merge would join orbits with different
     membership vectors; the offending pair is left in store.conflict.
     """
-    dom = sorted(gamma.domain)
+    pairs = [(x, gamma.apply(x)) for x in sorted(gamma.domain)]
+    n = store.alg.size
+    parent, membership = store.parent, store.membership
     for k in store.spec:
-        for a in itertools.permutations(dom, k):
-            ga = gamma.map_tuple(a)
-            first = store.handle[a]
-            second = store.handle[ga]
-            if first is second:
-                continue
-            if first.rel_type != second.rel_type:
-                store.conflict = (a, ga)
-                return False
-            store.merge(first, second, k)
+        # (value of p, value of gamma p, p) for every repetition-free prefix p
+        # of length k - 1, lexicographically; the last entry runs below
+        prefixes = [(0, 0, ())]
+        for _ in range(k - 1):
+            prefixes = [
+                (pa * n + x, pg * n + gx, p + (x,))
+                for pa, pg, p in prefixes
+                for x, gx in pairs
+                if x not in p
+            ]
+        off = store.offset[k]
+        for pa, pg, p in prefixes:
+            base_a, base_g = pa * n + off, pg * n + off
+            for x, gx in pairs:
+                if x in p:
+                    continue
+                first = base_a + x
+                while parent[first] != first:
+                    parent[first] = first = parent[parent[first]]
+                second = base_g + gx
+                while parent[second] != second:
+                    parent[second] = second = parent[parent[second]]
+                if first == second:
+                    continue
+                if membership.get(first, 0) != membership.get(second, 0):
+                    a = p + (x,)
+                    store.conflict = (a, gamma.map_tuple(a))
+                    return False
+                store.merge(first, second, k)
     return True
 
 
@@ -181,11 +227,12 @@ def _conflict_decision(
     store: OrbitStore, bundle: TargetBundle, gamma: Subisomorphism
 ) -> NotDefinable:
     a, ga = store.conflict
-    rt_a = store.handle[a].rel_type
-    rt_ga = store.handle[ga].rel_type
-    j = next(i for i in range(len(rt_a)) if rt_a[i] != rt_ga[i])
+    m_a = store.membership.get(store.orbit(a), 0)
+    m_ga = store.membership.get(store.orbit(ga), 0)
+    diff = m_a ^ m_ga
+    j = (diff & -diff).bit_length() - 1  # the first target the two disagree on
     pat = bundle.targets[j].pattern
-    if rt_a[j]:
+    if m_a >> j & 1:
         return NotDefinable(expand(pat, a), expand(pat, ga), gamma)
     return NotDefinable(expand(pat, ga), expand(pat, a), gamma.inverse())
 
@@ -209,7 +256,7 @@ def merging_decide(
         entry = stack[-1]
         while entry.pending:
             a = entry.pending.popleft()
-            if store.handle[a].tagged:
+            if store.orbit(a) in store.type:
                 continue
             sig = iso_type(alg, a)
             type_a, universe_a = sig.partition, sig.universe
@@ -219,11 +266,11 @@ def merging_decide(
             # generators only; a smaller one against every tagged orbit
             generates_node = len(universe_a) == len(entry.sub)
             if generates_node:
-                hit = next((o for o in map(store.orbit, entry.generators) if o.type == type_a), None)
+                hit = next((r for r in map(store.orbit, entry.generators) if store.type[r] == type_a), None)
             else:
                 hit = store.find_tagged(len(a), type_a)
             if hit is not None:
-                gamma = Subisomorphism(universe_a, hit.universe)
+                gamma = Subisomorphism(universe_a, store.universe[hit])
                 if trace:
                     matched = "a generator" if generates_node else "a tagged orbit"
                     trace(f"  matches {matched}; merging along {gamma!r}")
@@ -239,8 +286,8 @@ def merging_decide(
                     trace("  tagged as a new generator")
                 continue
             sub = frozenset(universe_a)
-            if debug:
-                assert len(sub) < len(entry.sub), "pushed node must be strictly smaller"
+            if debug and len(sub) >= len(entry.sub):
+                raise AssertionError("pushed node must be strictly smaller")
             stack.append(_StackEntry(sub, _sorted_tuples(sub, bundle.spec), [a]))
             if trace:
                 trace(f"  descend into subuniverse {sorted(sub)}")

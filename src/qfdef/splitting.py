@@ -235,7 +235,8 @@ def extract_counterexample(
         raise ValueError("block is pure; no counterexample here")
     a, b = inside[0], outside[0]
     gamma = subiso_from_signatures(alg, a, iso_type(alg, a), b, iso_type(alg, b))
-    assert gamma is not None, "tuples of a terminal block must share their type"
+    if gamma is None:
+        raise AssertionError("tuples of a terminal block must share their type")
     return a, b, gamma
 
 

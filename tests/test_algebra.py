@@ -158,6 +158,11 @@ def test_algebra_validation():
             Algebra(2, [("f", 1, [0, entry])])
     with pytest.raises(ValueError, match="duplicate"):
         Algebra(2, [("f", 1, [0, 1]), ("f", 1, [1, 0])])
+    for names in (5, "ab"):
+        with pytest.raises(ValueError, match="sequence of strings"):
+            Algebra(2, [], element_names=names)
+    with pytest.raises(ValueError, match="strings"):
+        Algebra(2, [], element_names=[0, 1])
 
 
 def test_relation_validation(diamond):
@@ -218,3 +223,8 @@ def test_json_loaders_reject_malformed_documents():
     for operations in ({"f": 5}, {"f": {"arity": 1, "table": 5}}, [["f", 1, [0, 1]]]):
         with pytest.raises(ValueError, match="malformed algebra document"):
             algebra_from_json({"size": 2, "operations": operations})
+    for elements in (5, "ab", {"a": 0}):
+        with pytest.raises(ValueError, match="sequence of strings"):
+            algebra_from_json({"size": 2, "elements": elements, "operations": {}})
+    with pytest.raises(ValueError, match="strings"):
+        algebra_from_json({"size": 2, "elements": ["a", 1], "operations": {}})

@@ -222,3 +222,15 @@ def test_decide_rejects_non_integer_table_entry(tmp_path, entry):
     proc = _run_cli(argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("elements", ["5", '"ab"', "[0, 1]"])
+def test_decide_rejects_malformed_elements(tmp_path, elements):
+    alg_path = tmp_path / "bad_elements.json"
+    alg_path.write_text('{"size": 2, "elements": %s, "operations": {"f": {"arity": 1, "table": [0, 1]}}}' % elements)
+    rel_path = tmp_path / "r.json"
+    save_relation(Relation.of(2, [(0, 1)]), str(rel_path))
+    argv = ["decide", "--strategy", "merging", "--algebra", str(alg_path), "--relation", str(rel_path)]
+    proc = _run_cli(argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

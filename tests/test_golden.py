@@ -1,4 +1,4 @@
-"""Golden digests of splitting's output text and of iso_type on seeded inputs.
+"""Golden digests of splitting's output text, of iso_type and of merging's answers.
 
 The splitting strategy's formulas depend on the order in which blocks
 split and terms are tried, so any change to that order changes the text
@@ -8,6 +8,10 @@ from the dict-memo implementation that preceded the column kernel.
 `iso_type` fixes the canonical order in which a tuple is closed under
 the operations; its partition indices and trace terms name positions in
 that order, so the second digest guards the order itself.
+
+Merging's counterexample (witness pair and gamma) depends on the
+depth-first order in which tuples are typed and orbits joined, so the
+third digest guards that order.
 """
 
 import hashlib
@@ -25,6 +29,7 @@ from qfdef import (
     gen_random_graph,
     graph_star,
     iso_type,
+    merging_decide,
     splitting_decide,
 )
 from qfdef.isotype import iso_type_terms
@@ -101,3 +106,53 @@ def isotype_golden_lines():
 def test_iso_type_matches_golden_digest():
     digest = hashlib.sha256("\n".join(isotype_golden_lines()).encode()).hexdigest()
     assert digest == ISOTYPE_GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# merging: verdicts, witness pairs and gammas
+# ---------------------------------------------------------------------------
+
+# Recorded from the object-per-tuple orbit store that preceded the
+# union-find over tuple codes.
+MERGING_GOLDEN_SHA256 = "032dd71d28705aefd0ac3530f22226e1a543623fedbd43ca5bdd2434845f2ebb"
+
+
+def merging_golden_algebras():
+    yield "abelian", gen_abelian_group((2, 4))
+    yield "boolean", gen_boolean_algebra(3)
+    yield "graph-star", graph_star(gen_random_graph(4, seed=1))[0]
+    # random algebras with a single operation keep partial symmetries, so relations over them can be refuted
+    yield "random", gen_random_algebra(6, signature=(("u", 1),), seed=3)
+    yield "random", gen_random_algebra(4, signature=(("f", 2),), seed=3)
+    yield "random-constant", gen_random_algebra(6, signature=(("c", 0), ("u", 1)), seed=0)
+
+
+def merging_golden_instances():
+    """Per algebra and arity 1-3: two formula extensions and two random relations."""
+    for i, (family, alg) in enumerate(merging_golden_algebras()):
+        for k in (1, 2, 3):
+            for j in range(2):
+                phi = gen_random_formula(alg, k, seed=100 * i + 10 * k + j)
+                yield f"{family}/{i}/k{k}/phi{j}", alg, extension(alg, phi, k)
+            rng = random.Random(100 * i + k)
+            space = list(itertools.product(range(alg.size), repeat=k))
+            for j in range(2):
+                rel = Relation.of(k, rng.sample(space, rng.randint(1, len(space) - 1)))
+                yield f"{family}/{i}/k{k}/random{j}", alg, rel
+
+
+def merging_golden_lines():
+    for name, alg, rel in merging_golden_instances():
+        d = merging_decide(alg, rel)
+        if d.is_definable:
+            yield f"{name} definable"
+        else:
+            yield f"{name} not {d.witness_in} {d.witness_out} {d.gamma.domain} {d.gamma.image}"
+
+
+def test_merging_output_matches_golden_digest():
+    lines = list(merging_golden_lines())
+    # at least a third of the instances must exercise the counterexample path
+    assert 3 * sum(" not " in line for line in lines) >= len(lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MERGING_GOLDEN_SHA256
