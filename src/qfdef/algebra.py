@@ -522,6 +522,25 @@ def applications(
             yield op, index_tuples
 
 
+def fresh_offsets(values: Sequence[int], known: int, r: int, n: int) -> list[int]:
+    """Row-major table offsets of one closure round's r-ary argument tuples.
+
+    The tuples are those of `applications` over `values` with fresh
+    entries `values[known:]`, in the same lexicographic order.  Built
+    from the last coordinate forwards: `every` holds the offsets of all
+    suffixes, `fresh` of those with a fresh entry; a fresh head takes any
+    suffix, an old head only a fresh one, and old values precede fresh.
+    """
+    old, new = values[:known], values[known:]
+    every, fresh = [0], []
+    for j in range(r):
+        w = n**j
+        fresh = [x * w + s for x in old for s in fresh] + [x * w + s for x in new for s in every]
+        if j < r - 1:  # the first coordinate needs no list of all suffixes
+            every = [x * w + s for x in values for s in every]
+    return fresh
+
+
 def sg(alg: Algebra, a: Sequence[int]) -> frozenset[int]:
     """Subuniverse generated by the entries of `a` (least closed superset)."""
     if not a:

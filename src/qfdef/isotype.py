@@ -1,9 +1,13 @@
-"""Isomorphism types of tuples: canonical partition plus generated universe.
+"""Isomorphism types of tuples: canonical key plus generated universe.
 
 The computation closes the tuple under the fundamental operations in a
-fixed canonical order, recording for every produced value the positions
-at which it reappears.  Two tuples get the same partition exactly when
-they are connected by an isomorphism between the substructures they
+fixed canonical order and numbers the values by first appearance, their
+rank.  The key lists the rank of the value at every closure position:
+the ranks of the tuple's own entries, then the operation tables of sg(a)
+relabelled by rank, entry by entry in the canonical application order.
+It is a canonical form in the sense of McKay and Piperno ("Practical
+graph isomorphism II", 2014).  Two tuples get the same key exactly when they
+are connected by an isomorphism between the substructures they
 generate, and in that case the ordered universes line up pointwise.
 """
 
@@ -14,66 +18,72 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra, applications
+from .algebra import Algebra, applications, fresh_offsets
 
 
 @dataclass(frozen=True)
 class IsoSignature:
     """Canonical type of a tuple.
 
-    partition: blocks of value-coincidence positions, sorted by minimum
-        index with indices ascending inside each block.
-    universe: the generated subuniverse in first-appearance order.
+    key: the rank of the value at each closure position, ranks numbering
+        the values by first appearance.
+    universe: the generated subuniverse in first-appearance order, so
+        `universe[r]` is the value of rank r.
     depth: number of closure passes executed before no new element appeared.
     """
 
-    partition: tuple[tuple[int, ...], ...]
+    key: tuple[int, ...]
     universe: tuple[int, ...]
     depth: int
+
+    @property
+    def partition(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks of value-coincidence positions, sorted by minimum index
+        with indices ascending inside each block: block r holds the
+        positions of rank r, so it carries the same information as `key`."""
+        blocks: list[list[int]] = [[] for _ in self.universe]
+        for i, r in enumerate(self.key):
+            blocks[r].append(i)
+        return tuple(map(tuple, blocks))
 
 
 def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
     """Canonical isomorphism type of `a`; pure and deterministic.
 
     Closure position i holds the i-th value produced: the entries of `a`,
-    then each round of `applications` over the first appearances so far,
-    up to the first round that adds no new value.
+    then each round of `applications` over the values found so far, up to
+    the first round that adds no new value.  A round is semi-naive
+    (Bancilhon and Ramakrishnan, 1986): per arity, `fresh_offsets` lists
+    the table offsets of the argument tuples that use a value new in the
+    previous round, and every operation of that arity gathers its
+    results from its table at those offsets.
     """
     a = tuple(a)
     if not a:
         raise ValueError("cannot compute the type of an empty tuple")
-    values: list[int] = []
-    blocks: list[list[int]] = []
-    block_of_value: dict[int, int] = {}
-    firsts: list[int] = []  # first-appearance indices, always increasing
+    n = alg.size
+    if min(a) < 0 or max(a) >= n:
+        raise ValueError(f"tuple {a} has an entry outside 0..{n - 1}")
+    rank = [-1] * n
+    universe: list[int] = []
+    key: list[int] = []
     produced: Sequence[int] = a
     for depth in itertools.count():
-        known = len(firsts)
-        for v in produced:
-            i = len(values)
-            values.append(v)
-            bi = block_of_value.get(v)
-            if bi is None:
-                block_of_value[v] = len(blocks)
-                blocks.append([i])
-                firsts.append(i)
-            else:
-                blocks[bi].append(i)
-        if len(firsts) == known:
+        known = len(universe)
+        for v in dict.fromkeys(produced):
+            if rank[v] < 0:
+                rank[v] = len(universe)
+                universe.append(v)
+        key.extend(map(rank.__getitem__, produced))
+        if len(universe) == known:
             break
-        # listed in full before recording, so the round's base is `firsts` as it stands now
-        produced = [
-            op.value([values[l] for l in lt])
-            for op, index_tuples in applications(alg, firsts, set(firsts[known:]))
-            for lt in index_tuples
-        ]
-    # first-appearance indices must point at pairwise distinct values
-    assert len(block_of_value) == len(firsts)
-    return IsoSignature(
-        partition=tuple(tuple(b) for b in blocks),
-        universe=tuple(values[j] for j in firsts),
-        depth=depth,
-    )
+        # gathered in full before recording, so the round's base is `universe` as it stands now
+        produced = []
+        for r in alg.arities:
+            offs = fresh_offsets(universe, known, r, n)
+            for op in alg.ops_of_arity(r):
+                produced.extend(map(op.table.__getitem__, offs))
+    return IsoSignature(key=tuple(key), universe=tuple(universe), depth=depth)
 
 
 def iso_type_terms(alg: Algebra, a: Sequence[int]) -> tuple[IsoSignature, tuple[str, ...]]:
@@ -182,10 +192,10 @@ def subiso_from_signatures(
 ) -> Subisomorphism | None:
     """The canonical isomorphism sg(a) -> sg(b) when the types coincide.
 
-    Returns None when the partitions differ.  The map pairs the two
-    universes positionally and sends a to b pointwise.
+    Returns None when the keys differ.  The map pairs the two universes
+    positionally and sends a to b pointwise.
     """
-    if sig_a.partition != sig_b.partition:
+    if sig_a.key != sig_b.key:
         return None
     gamma = Subisomorphism(sig_a.universe, sig_b.universe)
     if gamma.map_tuple(tuple(a)) != tuple(b):

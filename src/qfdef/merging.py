@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import FALSE, Algebra, Relation
 from .decision import Decision, Definable, NotDefinable
@@ -147,7 +146,7 @@ class OrbitStore:
             if donor_sig.universe != self.universe[root]:
                 raise AssertionError("stored universe does not match its donor")
             for t in members[:2]:
-                if iso_type(self.alg, t).partition != self.type[root]:
+                if iso_type(self.alg, t).key != self.type[root]:
                     raise AssertionError("tag differs from a member's type")
 
     def _check_partition(self, arity: int) -> None:
@@ -212,15 +211,15 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
 class _StackEntry:
     __slots__ = ("sub", "pending", "generators")
 
-    def __init__(self, sub: frozenset[int], pending: deque, generators: list):
+    def __init__(self, sub: frozenset[int], pending: Iterator[tuple[int, ...]], generators: list):
         self.sub = sub
         self.pending = pending
         self.generators = generators
 
 
-def _sorted_tuples(elements: frozenset[int], spec: Sequence[int]) -> deque:
+def _sorted_tuples(elements: frozenset[int], spec: Sequence[int]) -> Iterator[tuple[int, ...]]:
     ordered = sorted(elements)
-    return deque(t for k in spec for t in itertools.permutations(ordered, k))
+    return itertools.chain.from_iterable(itertools.permutations(ordered, k) for k in spec)
 
 
 def _conflict_decision(
@@ -254,12 +253,11 @@ def merging_decide(
     stack = [_StackEntry(universe, _sorted_tuples(universe, bundle.spec), [])]
     while stack:
         entry = stack[-1]
-        while entry.pending:
-            a = entry.pending.popleft()
+        for a in entry.pending:  # resumes after the tuple that last descended
             if store.orbit(a) in store.type:
                 continue
             sig = iso_type(alg, a)
-            type_a, universe_a = sig.partition, sig.universe
+            type_a, universe_a = sig.key, sig.universe
             if trace:
                 trace(f"pop {a}: new type, |sg|={len(universe_a)}, |node|={len(entry.sub)}")
             # a tuple generating the whole node is matched against the node's

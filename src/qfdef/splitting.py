@@ -261,12 +261,12 @@ class _DebugChecker:
         # distinct witnesses never agree on a member tuple
         for s, t in itertools.combinations(b.witnesses, 2):
             cs, ct = column(s), column(t)
-            assert all(cs[i] != ct[i] for i in b.tuples), "two witnesses coincide on a block tuple"
+            if any(cs[i] == ct[i] for i in b.tuples):
+                raise AssertionError("two witnesses coincide on a block tuple")
         # the block formula carves exactly the block out of the distinct tuples
         ext = extension(self.alg, b.formula, self.k).tuples
-        assert ext & self.distinct == {self.space[i] for i in b.tuples}, (
-            "block formula extension drifted off its tuples"
-        )
+        if ext & self.distinct != {self.space[i] for i in b.tuples}:
+            raise AssertionError("block formula extension drifted off its tuples")
         if self.check_term_repr:
             self._check_term_representation(b)
 
@@ -274,23 +274,25 @@ class _DebugChecker:
         seen: set[int] = set()
         for b in itertools.chain(pending, full_blocks):
             rows = set(b.tuples)
-            assert not (seen & rows), "blocks overlap"
+            if seen & rows:
+                raise AssertionError("blocks overlap")
             seen |= rows
-        assert self.target <= {self.space[i] for i in seen}, "target tuples leaked out of the block system"
+        if not self.target <= {self.space[i] for i in seen}:
+            raise AssertionError("target tuples leaked out of the block system")
 
     def check_split(self, successors: list[Block]) -> None:
         # a sample of tuples landing in different successors must differ in type
         for b1, b2 in itertools.combinations(successors, 2):
             a = self.space[min(b1.tuples)]
             b = self.space[min(b2.tuples)]
-            assert iso_type(self.alg, a).partition != iso_type(self.alg, b).partition, (
-                "isomorphic tuples were separated into different blocks"
-            )
+            if iso_type(self.alg, a).key == iso_type(self.alg, b).key:
+                raise AssertionError("isomorphic tuples were separated into different blocks")
 
     def check_terminal(self, block: Block) -> None:
         sample = [self.space[i] for i in sorted(block.tuples)[:4]]
-        sigs = [iso_type(self.alg, t).partition for t in sample]
-        assert all(s == sigs[0] for s in sigs), "terminal block holds non-isomorphic tuples"
+        keys = [iso_type(self.alg, t).key for t in sample]
+        if any(k != keys[0] for k in keys):
+            raise AssertionError("terminal block holds non-isomorphic tuples")
 
     def _all_terms(self, depth: int) -> list[Term]:
         terms: list[Term] = [Var(i) for i in range(self.k)]
@@ -317,9 +319,8 @@ class _DebugChecker:
             return any(all(ct[i] == cc[i] for i in b.tuples) for cc in candidates)
 
         for t in self._all_terms(d):
-            assert represented(t), (
-                f"term {t} of depth {t.depth} is not represented in the block"
-            )
+            if not represented(t):
+                raise AssertionError(f"term {t} of depth {t.depth} is not represented in the block")
 
 
 def _single_target(

@@ -234,3 +234,13 @@ def test_decide_rejects_malformed_elements(tmp_path, elements):
     proc = _run_cli(argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_python_dash_m_runs_the_cli(capsys, diamond_files):
+    alg, _, _ = diamond_files
+    argv = ["isotype", "--algebra", alg, "--tuple", "u,u',⊥"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "qfdef", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == run(capsys, argv)[1]

@@ -1,0 +1,106 @@
+"""The rank-coded `iso_type` kernel against a reference closure.
+
+The reference walks `applications` position by position, evaluates
+through `Operation.value` and records the index blocks of equal values.
+The kernel must agree with it on key (as a partition), universe and
+depth.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from qfdef import gen_abelian_group, gen_random_algebra, iso_type, sg
+from qfdef.algebra import Algebra, applications, fresh_offsets
+
+
+def reference_iso_type(alg, a):
+    """(partition, universe, depth) of `a` by the position-indexed closure."""
+    a = tuple(a)
+    values: list[int] = []
+    blocks: list[list[int]] = []
+    block_of_value: dict[int, int] = {}
+    firsts: list[int] = []
+    produced = a
+    for depth in itertools.count():
+        known = len(firsts)
+        for v in produced:
+            i = len(values)
+            values.append(v)
+            bi = block_of_value.get(v)
+            if bi is None:
+                block_of_value[v] = len(blocks)
+                blocks.append([i])
+                firsts.append(i)
+            else:
+                blocks[bi].append(i)
+        if len(firsts) == known:
+            break
+        produced = [
+            op.value([values[l] for l in lt])
+            for op, index_tuples in applications(alg, firsts, set(firsts[known:]))
+            for lt in index_tuples
+        ]
+    return tuple(map(tuple, blocks)), tuple(values[j] for j in firsts), depth
+
+
+def kernel_algebras():
+    """Seeded random algebras with arity-0, 1, 2 and 3 symbols."""
+    yield gen_random_algebra(5, signature=(("c", 0), ("u", 1), ("f", 2)), seed=11)
+    yield gen_random_algebra(4, signature=(("f", 2), ("h", 3)), seed=12)
+    yield gen_random_algebra(4, signature=(("c", 0), ("h", 3), ("u", 1)), seed=13)
+    yield gen_random_algebra(7, signature=(("u", 1), ("v", 1)), seed=14)
+    yield gen_random_algebra(6, signature=(("f", 2), ("g", 3)), seed=15)
+
+
+def test_kernel_matches_reference_closure():
+    for alg in kernel_algebras():
+        for k in (1, 2, 3):
+            # every k-tuple, repeated entries included
+            for a in itertools.product(range(alg.size), repeat=k):
+                sig = iso_type(alg, a)
+                assert (sig.partition, sig.universe, sig.depth) == reference_iso_type(alg, a), (alg, a)
+                assert set(sig.universe) == sg(alg, a)
+                assert len(sig.key) == sum(map(len, sig.partition))
+
+
+def test_fresh_offsets_follow_applications_order():
+    rng = random.Random(7)
+    n = 6
+    for r in (1, 2, 3):
+        alg = Algebra(n, [("f", r, [0] * n**r)])
+        for _ in range(40):
+            m = rng.randint(1, n)
+            known = rng.randint(0, m - 1)
+            values = rng.sample(range(n), m)
+            (_, index_tuples), = applications(alg, range(m), set(range(known, m)))
+            expected = []
+            for lt in index_tuples:
+                off = 0
+                for l in lt:
+                    off = off * n + values[l]
+                expected.append(off)
+            assert fresh_offsets(values, known, r, n) == expected, (r, values, known)
+
+
+def test_key_equality_is_partition_equality():
+    algebras = [
+        gen_random_algebra(5, signature=(("f", 2),), seed=6),
+        gen_random_algebra(6, signature=(("c", 0), ("u", 1)), seed=0),
+        gen_abelian_group((2, 4)),
+    ]
+    for alg in algebras:
+        tuples = list(itertools.permutations(range(alg.size), 2))
+        keys = {a: iso_type(alg, a).key for a in tuples}
+        partitions = {a: reference_iso_type(alg, a)[0] for a in tuples}
+        # the types must separate some pairs and join others for the check to bite
+        assert 1 < len(set(keys.values())) < len(tuples)
+        for a, b in itertools.product(tuples, repeat=2):
+            assert (keys[a] == keys[b]) == (partitions[a] == partitions[b]), (alg, a, b)
+
+
+@pytest.mark.parametrize("a", [(-1, 2), (0, 8)])
+def test_out_of_range_entries_rejected(a):
+    with pytest.raises(ValueError, match="outside"):
+        iso_type(gen_abelian_group((2, 4)), a)

@@ -17,7 +17,8 @@ from qfdef import (
     process_mixed_block,
     splitting_decide,
 )
-from qfdef.splitting import Block, extract_counterexample
+from qfdef.algebra import TermColumns
+from qfdef.splitting import Block, _DebugChecker, extract_counterexample
 
 from conftest import random_instance
 
@@ -197,3 +198,14 @@ def test_term_representation_invariants_exhaustive():
     for i in range(8):
         alg, rel = random_instance(500 + i, max_size=4, max_arity=2)
         splitting_decide(alg, rel, debug=True, check_term_repr=True)
+
+
+def test_debug_checker_rejects_a_split_of_isomorphic_tuples(diamond):
+    # swapping u and u' is an automorphism, so (bottom, u) and (bottom, u') share a type
+    space = list(itertools.permutations(range(4), 2))
+    checker = _DebugChecker(TermColumns(diamond, space), frozenset(), 2, False)
+    successors = [Block([space.index(t)], (), (), [], (), 1) for t in ((0, 1), (0, 2))]
+    with pytest.raises(AssertionError, match="isomorphic"):
+        checker.check_split(successors)
+    # tuples of different types may be separated
+    checker.check_split([Block([space.index(t)], (), (), [], (), 1) for t in ((0, 1), (1, 2))])
