@@ -35,7 +35,7 @@ from .algebra import (
     sg,
 )
 from .bench import BenchConfig, BenchRecord, bench
-from .decision import Decision, Definable, NotDefinable
+from .decision import Decision, Definable, NotDefinable, check_decision
 from .generators import (
     diamond_lattice,
     gen_abelian_group,

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -412,6 +414,28 @@ def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def lane_width(n: int) -> int:
+    """Bits per lane of a packed column over an n-element universe."""
+    return 8 if n <= 1 << 8 else 16 if n <= 1 << 16 else 32
+
+
+def pack(values: Iterable[int], width: int) -> int:
+    """`values` as the lanes of one int: values[i] in bits width*i and up.
+
+    Every value must be below 2**width; `width` is 8, 16 or 32.
+    """
+    if width == 8:
+        return int.from_bytes(bytearray(values), "little")
+    # imported here: only universes over 256 elements need it, and loading
+    # it at module import raised the benchmark workers' peak RSS by ~0.1 MB
+    from array import array
+
+    lanes = array("H" if width == 16 else "I", values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
 class TermColumns:
     """Term values as columns over a fixed list of tuples, the rows.
 
@@ -421,13 +445,23 @@ class TermColumns:
     its argument columns (`tab[x]` for unary operations, `tab[x*n + y]`
     for binary ones, the row-major index for higher arities), so there is
     no per-tuple recursion and no `Operation.value` call.
+
+    A set of rows is a mask: an int with the top bit of lane i set for
+    row i, in lanes of `width` bits (`lane_width(n)`).  `packed(t)` holds
+    t's column in the same lanes, so `agree(t, s)`, the mask of rows where
+    two terms agree, is one xor and a zero-lane test over all rows at
+    once.  The lane constants are built on first use, so kernels that
+    only evaluate columns (`extension`'s chunks) never pay for them.
     """
 
     def __init__(self, alg: Algebra, space: Sequence[tuple[int, ...]]):
         self.alg = alg
         self.space = space
+        self.width = lane_width(alg.size)
         self._columns: dict[Term, list[int]] = {}
+        self._packed: dict[Term, int] = {}
         self._table_rows: dict[str, list[tuple[int, ...]]] = {}
+        self._lanes: tuple[int, int] | None = None
 
     def column(self, t: Term) -> list[int]:
         col = self._columns.get(t)
@@ -435,13 +469,60 @@ class TermColumns:
             col = self._columns[t] = self._evaluate(t)
         return col
 
+    def packed(self, t: Term) -> int:
+        p = self._packed.get(t)
+        if p is None:
+            p = self._packed[t] = pack(self.column(t), self.width)
+        return p
+
+    def _lane_masks(self) -> tuple[int, int]:
+        """(low, high): every lane's low `width - 1` bits, and every lane's top bit."""
+        if self._lanes is None:
+            w = self.width
+            high = int.from_bytes((1 << w - 1).to_bytes(w // 8, "little") * len(self.space), "little")
+            self._lanes = (high - (high >> w - 1), high)
+        return self._lanes
+
+    @property
+    def full(self) -> int:
+        """The mask of every row."""
+        return self._lane_masks()[1]
+
+    def agree(self, t: Term, s: Term) -> int:
+        """The mask of the rows at which t and s take the same value."""
+        low, high = self._lane_masks()
+        x = self.packed(t) ^ self.packed(s)
+        # a lane's top bit survives iff the lane is zero: adding `low` carries
+        # into the top bit from any set low bit, and `x` supplies the top bit itself
+        return ~(((x & low) + low) | x | low) & high
+
+    def mask(self, flags: Iterable[bool]) -> int:
+        """The mask of the rows i with flags[i] true."""
+        return pack(flags, self.width) << self.width - 1
+
+    def rows(self, mask: int) -> list[int]:
+        """The rows of a mask, ascending."""
+        step = self.width // 8
+        tops = mask.to_bytes(step * len(self.space), "little")[step - 1 :: step]
+        return list(itertools.compress(range(len(tops)), tops))
+
+    def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
+        """A kernel over the given rows of this space, seeded with the
+        columns of `terms` gathered at those rows."""
+        sub = TermColumns(self.alg, [self.space[i] for i in rows])
+        sub._table_rows = self._table_rows
+        for t in terms:
+            col = self.column(t)
+            sub._columns[t] = [col[i] for i in rows]
+        return sub
+
     def _evaluate(self, t: Term) -> list[int]:
         space = self.space
         if isinstance(t, Var):
             i = t.index
             if space and i >= len(space[0]):
                 raise ValueError(f"variable x{i} out of range for a tuple of length {len(space[0])}")
-            return [v[i] for v in space]
+            return list(map(operator.itemgetter(i), space))
         op = self.alg.op(t.symbol)
         tab = op.table
         if len(t.args) != op.arity:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import QfFormula
+from .algebra import Algebra, QfFormula, Relation, extension
 from .isotype import Subisomorphism
 
 
@@ -37,3 +37,28 @@ class NotDefinable:
 
 
 Decision = Definable | NotDefinable
+
+
+def check_decision(alg: Algebra, rel: Relation, decision: Decision) -> None:
+    """Verify a decision's certificate without trusting the decider that made it.
+
+    A formula must have `rel` as its extension.  A counterexample's gamma
+    must be a subisomorphism of `alg` that maps witness_in, a tuple of
+    `rel`, pointwise to witness_out, a tuple outside it.  A positive
+    answer without a formula carries no certificate and passes.  Raises
+    ValueError naming the first defect found.
+    """
+    rel.check_over(alg)
+    if isinstance(decision, Definable):
+        if decision.formula is not None and extension(alg, decision.formula, rel.arity).tuples != rel.tuples:
+            raise ValueError("the formula's extension is not the relation")
+        return
+    a, b, gamma = decision.witness_in, decision.witness_out, decision.gamma
+    if a not in rel.tuples:
+        raise ValueError(f"witness_in {a} is not in the relation")
+    if b in rel.tuples:
+        raise ValueError(f"witness_out {b} is in the relation")
+    if not gamma.is_valid(alg):
+        raise ValueError("gamma is not a subisomorphism of the algebra")
+    if not gamma.domain_set.issuperset(a) or gamma.map_tuple(a) != b:
+        raise ValueError(f"gamma does not map {a} to {b}")

@@ -71,8 +71,12 @@ class OrbitStore:
         return self.offset[len(a)] + c
 
     def orbit(self, a: Sequence[int]) -> int:
-        """The root code of the orbit holding `a`, halving the path to it."""
-        parent, c = self.parent, self.code(a)
+        """The root code of the orbit holding `a`."""
+        return self.find(self.code(a))
+
+    def find(self, c: int) -> int:
+        """The root code of the orbit holding the tuple coded c, halving the path to it."""
+        parent = self.parent
         while parent[c] != c:
             parent[c] = c = parent[parent[c]]
         return c
@@ -211,15 +215,22 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
 class _StackEntry:
     __slots__ = ("sub", "pending", "generators")
 
-    def __init__(self, sub: frozenset[int], pending: Iterator[tuple[int, ...]], generators: list):
+    def __init__(self, sub: frozenset[int], pending: Iterator[tuple[tuple[int, ...], int]], generators: list):
         self.sub = sub
         self.pending = pending
         self.generators = generators
 
 
-def _sorted_tuples(elements: frozenset[int], spec: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _coded_tuples(elements: frozenset[int], store: OrbitStore) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The repetition-free tuples over `elements`, by arity in the spec,
+    then lexicographically, each with its code in `store`."""
     ordered = sorted(elements)
-    return itertools.chain.from_iterable(itertools.permutations(ordered, k) for k in spec)
+    for k in store.spec:
+        for p in itertools.permutations(ordered, k - 1):
+            base = store.code(p + (0,))  # the code of p + (x,) is base + x
+            for x in ordered:
+                if x not in p:
+                    yield p + (x,), base + x
 
 
 def _conflict_decision(
@@ -250,11 +261,11 @@ def merging_decide(
         return Definable(FALSE)
     store = OrbitStore(alg, bundle, debug=debug)
     universe = frozenset(range(alg.size))
-    stack = [_StackEntry(universe, _sorted_tuples(universe, bundle.spec), [])]
+    stack = [_StackEntry(universe, _coded_tuples(universe, store), [])]
     while stack:
         entry = stack[-1]
-        for a in entry.pending:  # resumes after the tuple that last descended
-            if store.orbit(a) in store.type:
+        for a, c in entry.pending:  # resumes after the tuple that last descended
+            if store.find(c) in store.type:
                 continue
             sig = iso_type(alg, a)
             type_a, universe_a = sig.key, sig.universe
@@ -286,7 +297,7 @@ def merging_decide(
             sub = frozenset(universe_a)
             if debug and len(sub) >= len(entry.sub):
                 raise AssertionError("pushed node must be strictly smaller")
-            stack.append(_StackEntry(sub, _sorted_tuples(sub, bundle.spec), [a]))
+            stack.append(_StackEntry(sub, _coded_tuples(sub, store), [a]))
             if trace:
                 trace(f"  descend into subuniverse {sorted(sub)}")
             break

@@ -12,13 +12,20 @@ between their generated subuniverses separates the target.
 
 This is partition refinement over an indexed space (Paige and Tarjan,
 "Three partition refinement algorithms", 1987).  The repetition-free
-tuples are numbered once, lexicographically; a block holds the ascending
-row numbers of its tuples, target membership is one bool column, and a
-`TermColumns` kernel evaluates each term once into a column over all
-rows.  A split compares the new term's column with each witness's column
-over the block's rows.  Rows turn back into tuples only at the edges:
-the terminal block handed to `extract_counterexample` and the debug
-invariant checks.
+tuples are numbered once, lexicographically, as the rows of a
+`TermColumns` kernel, which evaluates each term once into a column over
+all rows.  A block is a row mask, an int with one flag per row in the
+kernel's lanes; target membership is one such mask.  A split is bit
+arithmetic over whole masks: the rows where the new term agrees with a
+witness are `rest & agree(t, s)`, one xor of packed columns and a
+zero-lane test, and they leave the rest by `rest ^= eq`.
+
+Whole-space masks cost time in the size of the space, not of the block,
+so a popped mixed block holding less than `COMPACT_SHARE` of its space's
+rows is rebased onto a kernel over just its own rows, seeded with its
+witnesses' columns; its successors inherit that smaller space.  Rows
+turn back into tuples only at the edges: the terminal block handed to
+`extract_counterexample` and the debug invariant checks.
 
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
@@ -55,14 +62,21 @@ from .preprocess import assemble, decompose, expand, recombine
 
 Trace = Callable[[str], None]
 
+# a popped mixed block holding less than this share of its space's rows
+# moves to a kernel over its own rows; set 0 to never and 2 to always move
+COMPACT_SHARE = 1 / 8
+
 
 class Block:
     """One block of the refinement, with its term bookkeeping.
 
-    `tuples` are the block's members.  Inside the decider they are the
-    ascending row indices of the tuples in the target's repetition-free
-    space, the rows of its `TermColumns`; the public single-step form of
-    `process_mixed_block` takes and returns a set of tuples instead.
+    `tuples` are the block's members.  Inside the decider they are a row
+    mask over the `TermColumns` space the block lives in (see
+    `TermColumns`): the top bit of lane i is set when row i is a member,
+    so `tuples.bit_count()` is the block's size.  That space is the
+    target's whole repetition-free space, or, once an ancestor block was
+    compacted, just that ancestor's rows.  The public single-step form
+    of `process_mixed_block` takes and returns a set of tuples instead.
     `witnesses` are terms that pairwise disagree on every member tuple;
     `new_witnesses` are the witnesses added since the last term refill
     and drive the generation of the next term layer; `terms_to_process`
@@ -75,7 +89,7 @@ class Block:
 
     def __init__(
         self,
-        tuples: Sequence[int] | frozenset[tuple[int, ...]],
+        tuples: int | frozenset[tuple[int, ...]],
         witnesses: tuple[Term, ...],
         new_witnesses: tuple[Term, ...],
         terms_to_process: list[Term],
@@ -148,7 +162,7 @@ def process_mixed_block(
     complement block, which adopts the term as a new witness.  A lone
     successor keeps the parent's formula unchanged.
 
-    With `columns`, the block's tuples are row indices into its space.
+    With `columns`, the block's tuples are a row mask over its space.
     Without, they are a set of tuples: the step numbers them in sorted
     order, runs on a kernel over just those tuples and hands the
     successors back as tuple sets.
@@ -163,35 +177,34 @@ def process_mixed_block(
         return [block]
     if columns is not None:
         return _split(columns, block, stats)
-    space = sorted(block.tuples)
-    tuples, block.tuples = block.tuples, range(len(space))
+    columns = TermColumns(alg, sorted(block.tuples))
+    tuples, block.tuples = block.tuples, columns.full
     try:
-        successors = _split(TermColumns(alg, space), block, stats)
+        successors = _split(columns, block, stats)
     finally:
         block.tuples = tuples
     for s in successors:
-        s.tuples = frozenset(space[i] for i in s.tuples)
+        s.tuples = frozenset(columns.space[i] for i in columns.rows(s.tuples))
     return successors
 
 
 def _split(columns: TermColumns, block: Block, stats: SplitStats | None) -> list[Block]:
-    """Split a row-index block by the first pending term; see `process_mixed_block`."""
+    """Split a row-mask block by the first pending term; see `process_mixed_block`."""
     t = block.terms_to_process.pop(0)
     block.step += 1
     if stats:
         stats.steps += 1
     remaining = block.terms_to_process
-    ct = columns.column(t)
+    agree = columns.agree
     rest = block.tuples
     successors: list[Block] = []
     diseqs: list[QfFormula] = []
     for s in block.witnesses:
-        cs = columns.column(s)
-        eq_rows = [i for i in rest if ct[i] == cs[i]]
-        if eq_rows:
+        eq = rest & agree(t, s)
+        if eq:
             successors.append(
                 Block(
-                    eq_rows,
+                    eq,
                     block.witnesses,
                     block.new_witnesses,
                     list(remaining),
@@ -199,10 +212,9 @@ def _split(columns: TermColumns, block: Block, stats: SplitStats | None) -> list
                     block.step,
                 )
             )
-            if len(eq_rows) == len(rest):
-                rest = []
+            rest ^= eq
+            if not rest:
                 break
-            rest = [i for i in rest if ct[i] != cs[i]]
             diseqs.append(Not(Eq(t, s)))
     if rest:
         successors.append(
@@ -243,53 +255,51 @@ def extract_counterexample(
 class _DebugChecker:
     """Invariant suite evaluated at every mutation of the block system.
 
-    Blocks hold row indices; the checker maps them to tuples through the
-    kernel's space wherever an invariant speaks about tuples.
+    Blocks hold row masks; each check takes the kernel a block's rows
+    belong to and maps them to tuples wherever an invariant speaks about
+    tuples.
     """
 
-    def __init__(self, columns: TermColumns, target: frozenset, k: int, check_term_repr: bool):
-        self.alg = columns.alg
-        self.columns = columns
-        self.space = columns.space
-        self.distinct = frozenset(columns.space)
+    def __init__(self, alg: Algebra, target: frozenset, k: int, check_term_repr: bool):
+        self.alg = alg
+        self.distinct = frozenset(itertools.permutations(range(alg.size), k))
         self.target = target
         self.k = k
         self.check_term_repr = check_term_repr
 
-    def check_block(self, b: Block) -> None:
-        column = self.columns.column
+    def check_block(self, b: Block, columns: TermColumns) -> None:
         # distinct witnesses never agree on a member tuple
         for s, t in itertools.combinations(b.witnesses, 2):
-            cs, ct = column(s), column(t)
-            if any(cs[i] == ct[i] for i in b.tuples):
+            if b.tuples & columns.agree(s, t):
                 raise AssertionError("two witnesses coincide on a block tuple")
         # the block formula carves exactly the block out of the distinct tuples
         ext = extension(self.alg, b.formula, self.k).tuples
-        if ext & self.distinct != {self.space[i] for i in b.tuples}:
+        if ext & self.distinct != _tuples(b, columns):
             raise AssertionError("block formula extension drifted off its tuples")
         if self.check_term_repr:
-            self._check_term_representation(b)
+            self._check_term_representation(b, columns)
 
     def check_system(self, pending, full_blocks) -> None:
-        seen: set[int] = set()
-        for b in itertools.chain(pending, full_blocks):
-            rows = set(b.tuples)
-            if seen & rows:
+        """`pending` and `full_blocks` hold (block, kernel) pairs."""
+        seen: set[tuple[int, ...]] = set()
+        for b, columns in itertools.chain(pending, full_blocks):
+            tuples = _tuples(b, columns)
+            if seen & tuples:
                 raise AssertionError("blocks overlap")
-            seen |= rows
-        if not self.target <= {self.space[i] for i in seen}:
+            seen |= tuples
+        if not self.target <= seen:
             raise AssertionError("target tuples leaked out of the block system")
 
-    def check_split(self, successors: list[Block]) -> None:
+    def check_split(self, successors: list[Block], columns: TermColumns) -> None:
         # a sample of tuples landing in different successors must differ in type
         for b1, b2 in itertools.combinations(successors, 2):
-            a = self.space[min(b1.tuples)]
-            b = self.space[min(b2.tuples)]
+            a = columns.space[columns.rows(b1.tuples)[0]]
+            b = columns.space[columns.rows(b2.tuples)[0]]
             if iso_type(self.alg, a).key == iso_type(self.alg, b).key:
                 raise AssertionError("isomorphic tuples were separated into different blocks")
 
-    def check_terminal(self, block: Block) -> None:
-        sample = [self.space[i] for i in sorted(block.tuples)[:4]]
+    def check_terminal(self, block: Block, columns: TermColumns) -> None:
+        sample = [columns.space[i] for i in columns.rows(block.tuples)[:4]]
         keys = [iso_type(self.alg, t).key for t in sample]
         if any(k != keys[0] for k in keys):
             raise AssertionError("terminal block holds non-isomorphic tuples")
@@ -307,20 +317,30 @@ class _DebugChecker:
                         terms.append(t)
         return terms
 
-    def _check_term_representation(self, b: Block) -> None:
+    def _check_term_representation(self, b: Block, columns: TermColumns) -> None:
         # every term up to the block's depth (capped at 2 to stay exhaustive
         # yet affordable) must agree on the block with a witness or a pending term
         d = min(b.depth(), 2)
-        column = self.columns.column
-        candidates = [column(c) for c in (*b.witnesses, *b.terms_to_process)]
+        candidates = (*b.witnesses, *b.terms_to_process)
 
         def represented(t: Term) -> bool:
-            ct = column(t)
-            return any(all(ct[i] == cc[i] for i in b.tuples) for cc in candidates)
+            return any(not b.tuples & ~columns.agree(t, c) for c in candidates)
 
         for t in self._all_terms(d):
             if not represented(t):
                 raise AssertionError(f"term {t} of depth {t.depth} is not represented in the block")
+
+
+def _tuples(b: Block, columns: TermColumns) -> set[tuple[int, ...]]:
+    return {columns.space[i] for i in columns.rows(b.tuples)}
+
+
+def _compact(columns: TermColumns, b: Block, target: frozenset) -> tuple[TermColumns, int]:
+    """Rebase `b` onto a kernel over its own rows; returns the kernel and its
+    membership mask, and sets `b.tuples` to the kernel's full mask."""
+    columns = columns.restrict(columns.rows(b.tuples), b.witnesses)
+    b.tuples = columns.full
+    return columns, columns.mask(map(target.__contains__, columns.space))
 
 
 def _single_target(
@@ -336,46 +356,52 @@ def _single_target(
     """Run the block loop on one repetition-free target.
 
     Returns (True, formula) or (False, terminal_block), the terminal block
-    with its rows turned back into a set of tuples.
+    with its rows turned back into a set of tuples.  Each pending block
+    travels with its kernel and that kernel's membership mask.
     """
     columns = TermColumns(alg, list(itertools.permutations(range(alg.size), k)))
-    member = [v in target for v in columns.space]
-    checker = _DebugChecker(columns, target, k, check_term_repr) if debug else None
-    initial = Block(list(range(len(columns.space))), (), (), [Var(i) for i in range(k)], (), 0)
+    member = columns.mask(map(target.__contains__, columns.space))
+    checker = _DebugChecker(alg, target, k, check_term_repr) if debug else None
+    initial = Block(columns.full, (), (), [Var(i) for i in range(k)], (), 0)
     stats.blocks_created += 1
-    pending: deque[Block] = deque([initial])
-    disjunct_blocks: list[Block] = []
+    pending: deque[tuple[Block, TermColumns, int]] = deque([(initial, columns, member)])
+    disjunct_blocks: list[tuple[Block, TermColumns]] = []
     while pending:
-        b = pending.popleft()
+        b, columns, member = pending.popleft()
         stats.max_depth = max(stats.max_depth, b.depth())
-        if all(map(member.__getitem__, b.tuples)):
-            disjunct_blocks.append(b)
+        if not b.tuples & ~member:
+            disjunct_blocks.append((b, columns))
             stats.full_blocks += 1
             if trace:
-                trace(f"full block of {len(b.tuples)} tuples at step {b.step}")
+                trace(f"full block of {b.tuples.bit_count()} tuples at step {b.step}")
             continue
-        if not any(map(member.__getitem__, b.tuples)):
+        if not b.tuples & member:
             if trace:
-                trace(f"disposable block of {len(b.tuples)} tuples at step {b.step}")
+                trace(f"disposable block of {b.tuples.bit_count()} tuples at step {b.step}")
             continue
         if b.is_terminal:
             if trace:
-                trace(f"terminal mixed block of {len(b.tuples)} tuples")
+                trace(f"terminal mixed block of {b.tuples.bit_count()} tuples")
             if checker:
-                checker.check_terminal(b)
-            b.tuples = frozenset(columns.space[i] for i in b.tuples)
+                checker.check_terminal(b, columns)
+            b.tuples = frozenset(_tuples(b, columns))
             return False, b
+        if b.tuples.bit_count() < COMPACT_SHARE * len(columns.space):
+            columns, member = _compact(columns, b, target)
         successors = process_mixed_block(alg, b, columns, stats)
         if checker:
             for s in successors:
-                checker.check_block(s)
+                checker.check_block(s, columns)
             if len(successors) > 1:
-                checker.check_split(successors)
-            checker.check_system(itertools.chain(successors, pending), disjunct_blocks)
-        pending.extendleft(reversed(successors))
+                checker.check_split(successors, columns)
+            checker.check_system(
+                itertools.chain(((s, columns) for s in successors), ((p, c) for p, c, _ in pending)),
+                disjunct_blocks,
+            )
+        pending.extendleft((s, columns, member) for s in reversed(successors))
     if not disjunct_blocks:
         return True, FALSE
-    formulas = [b.formula for b in disjunct_blocks]
+    formulas = [b.formula for b, _ in disjunct_blocks]
     return True, (formulas[0] if len(formulas) == 1 else Or(tuple(formulas)))
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qfdef import Relation, diamond_lattice, extension, gen_random_algebra, gen_random_formula
+from qfdef import Relation, diamond_lattice, extension, gen_random_algebra, gen_random_formula, iso_type
 
 # Hand-written order of the diamond lattice (bottom=0, u=1, u'=2, top=3):
 # bottom below everything, u and u' incomparable, top above everything.
@@ -43,3 +43,18 @@ def random_instance(i: int, max_size: int = 5, max_arity: int = 3, definable_bia
         space = list(itertools.product(range(n), repeat=k))
         rel = Relation.of(k, rng.sample(space, rng.randint(0, len(space))))
     return alg, rel
+
+
+def plant_negative(alg, rel: Relation, rng: random.Random) -> Relation | None:
+    """`rel` with the membership of one repetition-free tuple flipped, a tuple
+    that shares its type with an earlier one in a seeded shuffle, so that a
+    definable `rel` turns non-definable.  None if every tuple has its own type."""
+    candidates = list(itertools.permutations(range(alg.size), rel.arity))
+    rng.shuffle(candidates)
+    first_of_type = set()
+    for a in candidates:
+        key = iso_type(alg, a).key
+        if key in first_of_type:
+            return Relation(rel.arity, rel.tuples ^ {a})
+        first_of_type.add(key)
+    return None

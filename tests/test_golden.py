@@ -12,14 +12,20 @@ that order, so the second digest guards the order itself.
 Merging's counterexample (witness pair and gamma) depends on the
 depth-first order in which tuples are typed and orbits joined, so the
 third digest guards that order.
+
+Splitting's `--trace` text and `SplitStats` counters follow every block
+it pops, so the fourth digest guards the refinement's course, not only
+its result.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
 
 from qfdef import (
     Relation,
+    SplitStats,
     extension,
     format_formula,
     gen_abelian_group,
@@ -72,6 +78,26 @@ def golden_lines():
 def test_splitting_output_matches_golden_digest():
     digest = hashlib.sha256("\n".join(golden_lines()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+# Recorded from the row-list blocks that preceded the lane-bitmask blocks.
+TRACE_GOLDEN_SHA256 = "f70a118fa7a5c1f69ca4322ccfad392f59f96b0ef7fa7f610124c736f5b4abb5"
+
+
+def trace_golden_lines():
+    """Per instance: its name, splitting's trace lines and its counters."""
+    for name, alg, rel in golden_instances():
+        stats = SplitStats()
+        lines: list[str] = []
+        splitting_decide(alg, rel, stats=stats, trace=lines.append)
+        yield name
+        yield from lines
+        yield f"{name} {dataclasses.asdict(stats)}"
+
+
+def test_splitting_trace_and_counters_match_golden_digest():
+    digest = hashlib.sha256("\n".join(trace_golden_lines()).encode()).hexdigest()
+    assert digest == TRACE_GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,15 +13,20 @@ from qfdef import (
     SplitStats,
     Var,
     extension,
+    gen_abelian_group,
+    gen_boolean_algebra,
+    gen_random_formula,
     generate_terms,
     oracle_definable,
     process_mixed_block,
     splitting_decide,
 )
+import qfdef.splitting
 from qfdef.algebra import TermColumns
 from qfdef.splitting import Block, _DebugChecker, extract_counterexample
 
-from conftest import random_instance
+from conftest import plant_negative, random_instance
+from test_golden import golden_instances
 
 
 def z2():
@@ -203,9 +209,39 @@ def test_term_representation_invariants_exhaustive():
 def test_debug_checker_rejects_a_split_of_isomorphic_tuples(diamond):
     # swapping u and u' is an automorphism, so (bottom, u) and (bottom, u') share a type
     space = list(itertools.permutations(range(4), 2))
-    checker = _DebugChecker(TermColumns(diamond, space), frozenset(), 2, False)
-    successors = [Block([space.index(t)], (), (), [], (), 1) for t in ((0, 1), (0, 2))]
+    columns = TermColumns(diamond, space)
+    checker = _DebugChecker(diamond, frozenset(), 2, False)
+
+    def block(t):
+        return Block(columns.mask([v == t for v in space]), (), (), [], (), 1)
+
     with pytest.raises(AssertionError, match="isomorphic"):
-        checker.check_split(successors)
+        checker.check_split([block((0, 1)), block((0, 2))], columns)
     # tuples of different types may be separated
-    checker.check_split([Block([space.index(t)], (), (), [], (), 1) for t in ((0, 1), (1, 2))])
+    checker.check_split([block((0, 1)), block((1, 2))], columns)
+
+
+def test_compaction_changes_no_decision_trace_or_counter(monkeypatch):
+    instances = [(alg, rel) for _, alg, rel in golden_instances()]
+    for alg in (gen_abelian_group((2, 4)), gen_boolean_algebra(3)):
+        for k in (2, 3):
+            for seed in range(3):
+                rel = extension(alg, gen_random_formula(alg, k, seed=seed), k)
+                instances.append((alg, plant_negative(alg, rel, random.Random(seed))))
+    instances += [random_instance(900 + i, max_size=5, max_arity=3) for i in range(20)]
+
+    def run(debug=False):
+        out = []
+        for alg, rel in instances:
+            stats, lines = SplitStats(), []
+            d = splitting_decide(alg, rel, stats=stats, trace=lines.append, debug=debug)
+            out.append((d, stats, lines))
+        return out
+
+    default = run()
+    assert sum(not d.is_definable for d, _, _ in default) >= 20
+    monkeypatch.setattr(qfdef.splitting, "COMPACT_SHARE", 0)  # never
+    assert run() == default
+    monkeypatch.setattr(qfdef.splitting, "COMPACT_SHARE", 2)  # at every popped mixed block
+    assert run() == default
+    assert run(debug=True)[-20:] == default[-20:]

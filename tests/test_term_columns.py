@@ -7,14 +7,18 @@ from qfdef import (
     Algebra,
     App,
     Eq,
+    Relation,
     Var,
+    check_decision,
     eval_formula,
     eval_term,
     extension,
     gen_random_algebra,
     gen_random_formula,
+    merging_decide,
+    splitting_decide,
 )
-from qfdef.algebra import EXTENSION_CHUNK, TermColumns
+from qfdef.algebra import EXTENSION_CHUNK, TermColumns, pack
 
 SIGNATURE = (("u", 1), ("f", 2), ("g", 3))
 
@@ -101,3 +105,47 @@ def test_extension_across_chunk_boundaries():
         phi = gen_random_formula(alg, 3, seed=seed)
         expected = frozenset(a for a in space if eval_formula(alg, phi, a))
         assert extension(alg, phi, 3).tuples == expected
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300, 65536, 65537])
+def test_masks_at_lane_width_boundaries(n):
+    alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("h", 1, [x // 2 for x in range(n)])])
+    # both ends of the universe and both sides of every power of two
+    values = sorted({v for p in range(17) for v in (2**p - 1, 2**p, 2**p + 1) if v < n} | {n - 2, n - 1})
+    space = list(itertools.product(values, repeat=2))
+    kernel = TermColumns(alg, space)
+    assert kernel.width == (8 if n <= 256 else 16 if n <= 65536 else 32)
+    assert kernel.full.bit_count() == len(space)
+    x0, x1 = Var(0), Var(1)
+    terms = [x0, x1, App("s", (x0,)), App("h", (x1,)), App("s", (App("h", (x0,)),))]
+    for t, u in itertools.product(terms, repeat=2):
+        ct, cu = kernel.column(t), kernel.column(u)
+        assert kernel.rows(kernel.agree(t, u)) == [i for i in range(len(space)) if ct[i] == cu[i]]
+    flags = [x < y for x, y in space]
+    assert kernel.rows(kernel.mask(flags)) == [i for i, f in enumerate(flags) if f]
+
+
+def test_pack_puts_value_i_in_lane_i():
+    for width in (8, 16, 32):
+        values = [0, 1, 2 ** (width - 1), 2**width - 1, 5]
+        assert pack(values, width) == sum(v << width * i for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_splitting_at_lane_width_boundaries_agrees_with_merging(n):
+    # under successor alone all elements share a type, and pairs have one per difference
+    alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)])])
+    steps = [(x, (x + d) % n) for x in range(n) for d in (1, 3)]
+    cases = [
+        (Relation.of(1, [(0,), (n - 1,)]), False, True),
+        (Relation.of(2, steps), True, False),
+        (Relation.of(2, steps + [(n - 2, 0)]), False, True),
+    ]
+    for rel, definable, with_merging in cases:
+        d = splitting_decide(alg, rel)
+        assert d.is_definable == definable
+        check_decision(alg, rel, d)
+        if with_merging:
+            m = merging_decide(alg, rel)
+            assert m.is_definable == definable
+            check_decision(alg, rel, m)
