@@ -16,7 +16,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,10 @@ class Relation:
         return cls(arity, frozenset(tuple(t) for t in tuples))
 
     def check_over(self, alg: Algebra) -> None:
-        for t in self.tuples:
+        values = set(itertools.chain.from_iterable(self.tuples))
+        if not values or 0 <= min(values) and max(values) < alg.size:
+            return
+        for t in self.tuples:  # only to name the offending tuple
             for v in t:
                 if not (0 <= v < alg.size):
                     raise ValueError(f"tuple {t} has entry {v} outside 0..{alg.size - 1}")
@@ -414,6 +417,49 @@ def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def tuple_codes(tuples: Collection[Sequence[int]], n: int) -> Iterator[int]:
+    """The codes a0*n**(k-1) + ... + a(k-1) of k-tuples over an n-element
+    universe, in iteration order: they sort as their tuples do, and they
+    number the rows of `ProductSpace(n, k)`."""
+    # lazy, one pass per entry position: a list of codes, or zip(*tuples)
+    # with its iterator per tuple, raised the peak resident memory
+    k = len(next(iter(tuples), ()))
+    codes = map(operator.itemgetter(0), tuples) if k else iter(())
+    for j in range(1, k):
+        shifted = map(operator.mul, codes, itertools.repeat(n))
+        codes = map(operator.add, shifted, map(operator.itemgetter(j), tuples))
+    return codes
+
+
+class ProductSpace:
+    """All of A**k as rows in lexicographic order, lazily: row r is the
+    k-tuple whose code is r, and it is decoded only by `take`.  Entry j
+    of every row, `digits(j)`, is a run of each value n**(k-1-j) times,
+    n**j times over, so it is built by repetition, without any tuple."""
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.k = k
+
+    def __len__(self) -> int:
+        return self.n**self.k
+
+    def take(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
+        """The tuples of the given rows, decoded one entry position at a time."""
+        n, k = self.n, self.k
+        return list(zip(*([r // n ** (k - 1 - j) % n for r in rows] for j in range(k))))
+
+    def digits(self, j: int) -> list[int]:
+        reps = self.n ** (self.k - 1 - j)
+        runs = map(itertools.repeat, range(self.n), itertools.repeat(reps))
+        return list(itertools.chain.from_iterable(runs)) * self.n**j
+
+    def packed_digits(self, j: int, width: int) -> int:
+        """`pack(self.digits(j), width)`, by bytes repetition."""
+        lanes = b"".join(x.to_bytes(width // 8, "little") * self.n ** (self.k - 1 - j) for x in range(self.n))
+        return int.from_bytes(lanes * self.n**j, "little")
+
+
 def lane_width(n: int) -> int:
     """Bits per lane of a packed column over an n-element universe."""
     return 8 if n <= 1 << 8 else 16 if n <= 1 << 16 else 32
@@ -437,9 +483,10 @@ def pack(values: Iterable[int], width: int) -> int:
 
 
 class TermColumns:
-    """Term values as columns over a fixed list of tuples, the rows.
+    """Term values as columns over a fixed sequence of tuples, the rows: a
+    list, or a `ProductSpace`, whose variable columns are its digits.
 
-    `column(t)[i] == eval_term(alg, t, space[i])` for every row i.  Each
+    `column(t)[i]` is `eval_term(alg, t, a)` for the tuple a of row i.  Each
     distinct term is evaluated once, over all rows at a time, and
     memoised: an application indexes its operation table straight from
     its argument columns (`tab[x]` for unary operations, `tab[x*n + y]`
@@ -472,7 +519,11 @@ class TermColumns:
     def packed(self, t: Term) -> int:
         p = self._packed.get(t)
         if p is None:
-            p = self._packed[t] = pack(self.column(t), self.width)
+            if isinstance(t, Var) and isinstance(self.space, ProductSpace):
+                p = self.space.packed_digits(t.index, self.width)  # no list column needed
+            else:
+                p = pack(self.column(t), self.width)
+            self._packed[t] = p
         return p
 
     def _lane_masks(self) -> tuple[int, int]:
@@ -496,9 +547,14 @@ class TermColumns:
         # into the top bit from any set low bit, and `x` supplies the top bit itself
         return ~(((x & low) + low) | x | low) & high
 
-    def mask(self, flags: Iterable[bool]) -> int:
-        """The mask of the rows i with flags[i] true."""
-        return pack(flags, self.width) << self.width - 1
+    def mask(self, rows: Iterable[int]) -> int:
+        """The mask of the given rows: one byte written per row."""
+        step = self.width // 8
+        lanes = bytearray(step * len(self.space))
+        top = memoryview(lanes)[step - 1 :: step]  # the byte of each lane's top bit
+        for i in rows:
+            top[i] = 0x80
+        return int.from_bytes(lanes, "little")
 
     def rows(self, mask: int) -> list[int]:
         """The rows of a mask, ascending."""
@@ -506,10 +562,15 @@ class TermColumns:
         tops = mask.to_bytes(step * len(self.space), "little")[step - 1 :: step]
         return list(itertools.compress(range(len(tops)), tops))
 
+    def tuples(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
+        """The tuples of the given rows."""
+        space = self.space
+        return space.take(rows) if isinstance(space, ProductSpace) else [space[i] for i in rows]
+
     def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
         """A kernel over the given rows of this space, seeded with the
         columns of `terms` gathered at those rows."""
-        sub = TermColumns(self.alg, [self.space[i] for i in rows])
+        sub = TermColumns(self.alg, self.tuples(rows))
         sub._table_rows = self._table_rows
         for t in terms:
             col = self.column(t)
@@ -520,6 +581,8 @@ class TermColumns:
         space = self.space
         if isinstance(t, Var):
             i = t.index
+            if isinstance(space, ProductSpace):
+                return space.digits(i)
             if space and i >= len(space[0]):
                 raise ValueError(f"variable x{i} out of range for a tuple of length {len(space[0])}")
             return list(map(operator.itemgetter(i), space))

@@ -18,7 +18,7 @@ import itertools
 import math
 from typing import Callable, Iterator, Sequence
 
-from .algebra import FALSE, Algebra, Relation
+from .algebra import FALSE, Algebra, Relation, tuple_codes
 from .decision import Decision, Definable, NotDefinable
 from .isotype import Subisomorphism, iso_type
 from .preprocess import TargetBundle, decompose, expand, rel_type
@@ -29,7 +29,8 @@ Trace = Callable[[str], None]
 class OrbitStore:
     """Orbit partitions of the repetition-free tuples, as a union-find over tuple codes.
 
-    A k-tuple's code is its base-n value over the universe plus the
+    A k-tuple's code is its base-n value over the universe
+    (`algebra.tuple_codes`, also splitting's row numbering) plus the
     offset of arity k, so one flat `parent` forest covers every arity in
     the spec (codes of tuples with repeated entries stay singletons).
     Unions go by size with path halving.  A tuple's membership vector is
@@ -54,9 +55,9 @@ class OrbitStore:
         self.size = [1] * total
         self.membership: dict[int, int] = {}
         for j, target in enumerate(bundle.targets):
-            bit = 1 << j
-            for t in target.tuples:
-                c = self.code(t)
+            bit, off = 1 << j, self.offset[target.arity]
+            for c in tuple_codes(target.tuples, alg.size):
+                c += off
                 self.membership[c] = self.membership.get(c, 0) | bit
         self.type: dict[int, tuple] = {}
         self.universe: dict[int, tuple[int, ...]] = {}
@@ -256,7 +257,7 @@ def merging_decide(
 ) -> Decision:
     """Decide definability of `rel` by the orbit-merging strategy."""
     rel.check_over(alg)
-    bundle = decompose(rel)
+    bundle = decompose(rel, alg.size)
     if not bundle.targets:
         return Definable(FALSE)
     store = OrbitStore(alg, bundle, debug=debug)

@@ -11,6 +11,7 @@ defining formulas recombine into one for the original relation.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,16 +45,10 @@ def pattern(a: Sequence[int]) -> Pattern:
     """Positions i, j share a block exactly when a[i] == a[j]."""
     if not a:
         raise ValueError("empty tuple has no pattern")
-    blocks: list[list[int]] = []
-    seen: dict[int, int] = {}
+    blocks: dict[int, list[int]] = {}  # by value, in order of first appearance
     for i, x in enumerate(a):
-        bi = seen.get(x)
-        if bi is None:
-            seen[x] = len(blocks)
-            blocks.append([i])
-        else:
-            blocks[bi].append(i)
-    return Pattern(tuple(tuple(b) for b in blocks))
+        blocks.setdefault(x, []).append(i)
+    return Pattern(tuple(map(tuple, blocks.values())))
 
 
 def squash(a: Sequence[int]) -> tuple[int, ...]:
@@ -103,14 +98,27 @@ class TargetBundle:
     spec: tuple[int, ...]
 
 
-def decompose(rel: Relation) -> TargetBundle:
-    k = rel.arity
+def decompose(rel: Relation, n: int | None = None) -> TargetBundle:
+    """Group `rel` by equality pattern into repetition-free targets.  Given
+    the universe size `n`, the tuples with a repeated entry are `rel`'s meet
+    with the tuples of A**k where a[i] == a[j], for each pair i < j, unless
+    those outnumber `rel`; otherwise each tuple of `rel` is checked."""
+    k, tuples = rel.arity, rel.tuples
+    pairs = list(itertools.combinations(range(k), 2))
+    if n is not None and len(pairs) * n ** (k - 1) <= len(tuples):
+        # entry j of a generated tuple repeats entry i of a (k-1)-tuple
+        spreads = (operator.itemgetter(*range(j), i, *range(j, k - 1)) for i, j in pairs)
+        space = range(n)
+        repeated = set().union(*(tuples.intersection(map(s, itertools.product(space, repeat=k - 1))) for s in spreads))
+        plain = tuples - repeated
+    else:
+        plain = {a for a in tuples if len(set(a)) == k}
+        repeated = tuples - plain
     # a tuple without repeated entries is its own squash, under the identity pattern
-    plain = {a for a in rel.tuples if len(set(a)) == k}
     groups: dict[Pattern, set[tuple[int, ...]]] = {}
     if plain:
         groups[Pattern(tuple((i,) for i in range(k)))] = plain
-    for a in rel.tuples - plain:
+    for a in repeated:
         groups.setdefault(pattern(a), set()).add(squash(a))
     ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
     targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)

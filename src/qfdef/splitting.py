@@ -11,21 +11,29 @@ pairwise isomorphic, so any straddling pair plus the canonical map
 between their generated subuniverses separates the target.
 
 This is partition refinement over an indexed space (Paige and Tarjan,
-"Three partition refinement algorithms", 1987).  The repetition-free
-tuples are numbered once, lexicographically, as the rows of a
-`TermColumns` kernel, which evaluates each term once into a column over
-all rows.  A block is a row mask, an int with one flag per row in the
-kernel's lanes; target membership is one such mask.  A split is bit
+"Three partition refinement algorithms", 1987).  A `TermColumns` kernel
+evaluates each term once into a column over all its rows.  The rows of
+the kernel a target starts on are the codes of all of A**k
+(`ProductSpace`), the base-n codes `merging.OrbitStore` numbers tuples
+by, and all targets of arity k in one decision share it and its
+columns.  A block is a row mask, an int with one flag per row in the
+kernel's lanes.  The initial block is the rows where no two variables
+agree, the repetition-free tuples, and target membership is the mask of
+the target tuples' codes, so no tuple is built or hashed before the
+first split.  A split is bit
 arithmetic over whole masks: the rows where the new term agrees with a
 witness are `rest & agree(t, s)`, one xor of packed columns and a
 zero-lane test, and they leave the rest by `rest ^= eq`.
 
 Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's
-rows is rebased onto a kernel over just its own rows, seeded with its
-witnesses' columns; its successors inherit that smaller space.  Rows
-turn back into tuples only at the edges: the terminal block handed to
-`extract_counterexample` and the debug invariant checks.
+repetition-free rows is rebased onto a kernel over just its own rows,
+seeded with its witnesses' columns; its successors inherit that smaller
+space.  The shared A**k kernel is rebased so at once where its
+repetition-free rows are that rare, as at arities near n.  Rows
+turn back into tuples only where a tuple is needed: that rebasing, the
+terminal block handed to `extract_counterexample` and the debug
+invariant checks.
 
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
@@ -49,12 +57,14 @@ from .algebra import (
     Not,
     Or,
     QfFormula,
+    ProductSpace,
     Relation,
     TermColumns,
     Term,
     Var,
     applications,
     extension,
+    tuple_codes,
 )
 from .decision import Decision, Definable, NotDefinable
 from .isotype import Subisomorphism, iso_type, subiso_from_signatures
@@ -74,9 +84,10 @@ class Block:
     mask over the `TermColumns` space the block lives in (see
     `TermColumns`): the top bit of lane i is set when row i is a member,
     so `tuples.bit_count()` is the block's size.  That space is the
-    target's whole repetition-free space, or, once an ancestor block was
-    compacted, just that ancestor's rows.  The public single-step form
-    of `process_mixed_block` takes and returns a set of tuples instead.
+    target arity's shared kernel (A**k, or its repetition-free rows), or,
+    once an ancestor block was compacted, just that ancestor's rows.  The
+    public single-step form of `process_mixed_block` takes and returns a
+    set of tuples instead.
     `witnesses` are terms that pairwise disagree on every member tuple;
     `new_witnesses` are the witnesses added since the last term refill
     and drive the generation of the next term layer; `terms_to_process`
@@ -174,6 +185,7 @@ def process_mixed_block(
         block.new_witnesses = ()
         if stats:
             stats.refills += 1
+            stats.max_depth = max(stats.max_depth, block.depth())
         return [block]
     if columns is not None:
         return _split(columns, block, stats)
@@ -184,7 +196,7 @@ def process_mixed_block(
     finally:
         block.tuples = tuples
     for s in successors:
-        s.tuples = frozenset(columns.space[i] for i in columns.rows(s.tuples))
+        s.tuples = frozenset(columns.tuples(columns.rows(s.tuples)))
     return successors
 
 
@@ -293,13 +305,13 @@ class _DebugChecker:
     def check_split(self, successors: list[Block], columns: TermColumns) -> None:
         # a sample of tuples landing in different successors must differ in type
         for b1, b2 in itertools.combinations(successors, 2):
-            a = columns.space[columns.rows(b1.tuples)[0]]
-            b = columns.space[columns.rows(b2.tuples)[0]]
+            a = columns.tuples(columns.rows(b1.tuples)[:1])[0]
+            b = columns.tuples(columns.rows(b2.tuples)[:1])[0]
             if iso_type(self.alg, a).key == iso_type(self.alg, b).key:
                 raise AssertionError("isomorphic tuples were separated into different blocks")
 
     def check_terminal(self, block: Block, columns: TermColumns) -> None:
-        sample = [columns.space[i] for i in columns.rows(block.tuples)[:4]]
+        sample = columns.tuples(columns.rows(block.tuples)[:4])
         keys = [iso_type(self.alg, t).key for t in sample]
         if any(k != keys[0] for k in keys):
             raise AssertionError("terminal block holds non-isomorphic tuples")
@@ -332,7 +344,14 @@ class _DebugChecker:
 
 
 def _tuples(b: Block, columns: TermColumns) -> set[tuple[int, ...]]:
-    return {columns.space[i] for i in columns.rows(b.tuples)}
+    return set(columns.tuples(columns.rows(b.tuples)))
+
+
+def _membership(columns: TermColumns, target: frozenset) -> int:
+    """The mask of the target's rows: its codes on a product space, else a lookup per row."""
+    if isinstance(columns.space, ProductSpace):
+        return columns.mask(tuple_codes(target, columns.alg.size))
+    return columns.mask(itertools.compress(itertools.count(), map(target.__contains__, columns.space)))
 
 
 def _compact(columns: TermColumns, b: Block, target: frozenset) -> tuple[TermColumns, int]:
@@ -340,11 +359,25 @@ def _compact(columns: TermColumns, b: Block, target: frozenset) -> tuple[TermCol
     membership mask, and sets `b.tuples` to the kernel's full mask."""
     columns = columns.restrict(columns.rows(b.tuples), b.witnesses)
     b.tuples = columns.full
-    return columns, columns.mask(map(target.__contains__, columns.space))
+    return columns, _membership(columns, target)
+
+
+def _base_kernel(alg: Algebra, k: int) -> tuple[TermColumns, int]:
+    """The kernel every target of arity k starts on, with the mask of its
+    repetition-free rows: A**k, rebased onto those rows right away when
+    they are less than `COMPACT_SHARE` of it (k near n)."""
+    columns = TermColumns(alg, ProductSpace(alg.size, k))
+    distinct = columns.full
+    for i, j in itertools.combinations(range(k), 2):
+        distinct &= ~columns.agree(Var(i), Var(j))
+    if distinct.bit_count() < COMPACT_SHARE * len(columns.space):
+        columns = columns.restrict(columns.rows(distinct), ())
+        distinct = columns.full
+    return columns, distinct
 
 
 def _single_target(
-    alg: Algebra,
+    base: tuple[TermColumns, int],
     target: frozenset[tuple[int, ...]],
     k: int,
     stats: SplitStats,
@@ -353,22 +386,24 @@ def _single_target(
     check_term_repr: bool = False,
     trace: Trace | None = None,
 ):
-    """Run the block loop on one repetition-free target.
+    """Run the block loop on one repetition-free target from `base`, the
+    `_base_kernel` of arity k, which all targets of arity k share.
 
     Returns (True, formula) or (False, terminal_block), the terminal block
     with its rows turned back into a set of tuples.  Each pending block
-    travels with its kernel and that kernel's membership mask.
+    travels with its kernel and that kernel's membership mask.  The rows
+    of A**k with a repeated entry do not count toward `COMPACT_SHARE`.
     """
-    columns = TermColumns(alg, list(itertools.permutations(range(alg.size), k)))
-    member = columns.mask(map(target.__contains__, columns.space))
+    columns, distinct = base
+    alg, live = columns.alg, distinct.bit_count()
+    member = _membership(columns, target)
     checker = _DebugChecker(alg, target, k, check_term_repr) if debug else None
-    initial = Block(columns.full, (), (), [Var(i) for i in range(k)], (), 0)
+    initial = Block(distinct, (), (), [Var(i) for i in range(k)], (), 0)
     stats.blocks_created += 1
     pending: deque[tuple[Block, TermColumns, int]] = deque([(initial, columns, member)])
     disjunct_blocks: list[tuple[Block, TermColumns]] = []
     while pending:
         b, columns, member = pending.popleft()
-        stats.max_depth = max(stats.max_depth, b.depth())
         if not b.tuples & ~member:
             disjunct_blocks.append((b, columns))
             stats.full_blocks += 1
@@ -386,7 +421,7 @@ def _single_target(
                 checker.check_terminal(b, columns)
             b.tuples = frozenset(_tuples(b, columns))
             return False, b
-        if b.tuples.bit_count() < COMPACT_SHARE * len(columns.space):
+        if b.tuples.bit_count() < COMPACT_SHARE * (live if columns is base[0] else len(columns.space)):
             columns, member = _compact(columns, b, target)
         successors = process_mixed_block(alg, b, columns, stats)
         if checker:
@@ -422,15 +457,18 @@ def splitting_decide(
     rel.check_over(alg)
     if stats is None:
         stats = SplitStats()
-    bundle = decompose(rel)
+    bundle = decompose(rel, alg.size)
     if not bundle.targets:
         return Definable(FALSE)
     parts = []
+    kernels: dict[int, tuple[TermColumns, int]] = {}
     for target in bundle.targets:
         if trace:
             trace(f"target of arity {target.arity} with {len(target.tuples)} tuples")
+        if target.arity not in kernels:
+            kernels[target.arity] = _base_kernel(alg, target.arity)
         ok, payload = _single_target(
-            alg,
+            kernels[target.arity],
             target.tuples,
             target.arity,
             stats,

@@ -175,6 +175,17 @@ def test_relation_validation(diamond):
         bad.check_over(diamond)
 
 
+def test_check_over_bounds_and_message(diamond):
+    good = [(a, b) for a in range(4) for b in range(4)]
+    Relation.of(2, good).check_over(diamond)
+    Relation.of(2, []).check_over(diamond)
+    # one entry just past either end, among valid tuples, is named in the error
+    for bad, v in (((2, 4), 4), ((-1, 0), -1)):
+        with pytest.raises(ValueError) as e:
+            Relation.of(2, good + [bad]).check_over(diamond)
+        assert str(e.value) == f"tuple {bad} has entry {v} outside 0..3"
+
+
 def test_algebra_json_round_trip(tmp_path, diamond):
     path = tmp_path / "d.json"
     save_algebra(diamond, str(path))

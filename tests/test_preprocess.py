@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,7 +22,7 @@ from qfdef import (
     rel_type,
     squash,
 )
-from qfdef.preprocess import Pattern
+from qfdef.preprocess import BundleTarget, Pattern, TargetBundle
 
 from conftest import random_instance
 
@@ -190,3 +191,35 @@ def test_bundle_definability_is_componentwise():
             for t in bundle.targets
         )
         assert whole == parts, (i, sorted(rel.tuples))
+
+
+def comprehension_decompose(rel):
+    """`decompose` as it was before set operations: one set(a) per tuple."""
+    k = rel.arity
+    plain = {a for a in rel.tuples if len(set(a)) == k}
+    groups = {}
+    if plain:
+        groups[Pattern(tuple((i,) for i in range(k)))] = plain
+    for a in rel.tuples - plain:
+        groups.setdefault(pattern(a), set()).add(squash(a))
+    ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
+    targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)
+    return TargetBundle(rel.arity, targets, tuple(sorted({t.arity for t in targets})))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_decompose_with_and_without_size_matches_the_comprehension(k):
+    rng = random.Random(k)
+    # all of A**k over 6 elements has enough tuples to be met with the
+    # repeated-entry tuples of A**k; the small draws are checked tuple by tuple
+    rels = [(6, Relation.of(k, itertools.product(range(6), repeat=k)))]
+    for i in range(30):
+        n = rng.randint(2, 6)
+        space = list(itertools.product(range(n), repeat=k))
+        size = rng.choice([1, 2, n, len(space) // 3, len(space)])
+        rels.append((n, Relation.of(k, rng.sample(space, min(size, len(space))) + [(rng.randrange(n),) * k])))
+    for i, (n, rel) in enumerate(rels):
+        expected = comprehension_decompose(rel)
+        assert decompose(rel) == expected, (k, i)
+        assert decompose(rel, n) == expected, (k, i)
+        assert decompose(rel, n + 2) == expected, (k, i)

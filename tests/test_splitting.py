@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -12,18 +13,20 @@ from qfdef import (
     Relation,
     SplitStats,
     Var,
+    check_decision,
     extension,
     gen_abelian_group,
     gen_boolean_algebra,
     gen_random_formula,
     generate_terms,
+    merging_decide,
     oracle_definable,
     process_mixed_block,
     splitting_decide,
 )
 import qfdef.splitting
-from qfdef.algebra import TermColumns
-from qfdef.splitting import Block, _DebugChecker, extract_counterexample
+from qfdef.algebra import ProductSpace, TermColumns
+from qfdef.splitting import Block, _DebugChecker, _base_kernel, extract_counterexample
 
 from conftest import plant_negative, random_instance
 from test_golden import golden_instances
@@ -213,7 +216,7 @@ def test_debug_checker_rejects_a_split_of_isomorphic_tuples(diamond):
     checker = _DebugChecker(diamond, frozenset(), 2, False)
 
     def block(t):
-        return Block(columns.mask([v == t for v in space]), (), (), [], (), 1)
+        return Block(columns.mask([space.index(t)]), (), (), [], (), 1)
 
     with pytest.raises(AssertionError, match="isomorphic"):
         checker.check_split([block((0, 1)), block((0, 2))], columns)
@@ -245,3 +248,25 @@ def test_compaction_changes_no_decision_trace_or_counter(monkeypatch):
     monkeypatch.setattr(qfdef.splitting, "COMPACT_SHARE", 2)  # at every popped mixed block
     assert run() == default
     assert run(debug=True)[-20:] == default[-20:]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_arity_n_where_the_product_space_is_mostly_repeated_entries(n):
+    # A**n has n**n rows and only n! of them are repetition-free (6 of 27,
+    # 24 of 256, 120 of 3125); both algebras have automorphisms, so planted
+    # negatives exist
+    succ = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)])])
+    for alg in (gen_abelian_group((n,)), succ):
+        columns, distinct = _base_kernel(alg, n)
+        assert columns.tuples(columns.rows(distinct)) == list(itertools.permutations(range(n), n))
+        # the shared kernel starts on the repetition-free rows alone where they
+        # are below COMPACT_SHARE of A**n, so whole-space masks never dominate
+        rebased = math.factorial(n) < qfdef.splitting.COMPACT_SHARE * n**n
+        assert rebased == (n > 3)
+        assert isinstance(columns.space, ProductSpace) != rebased
+        for seed in range(3):
+            rel = extension(alg, gen_random_formula(alg, n, seed=seed), n)
+            for target in (rel, plant_negative(alg, rel, random.Random(seed))):
+                d = splitting_decide(alg, target)
+                check_decision(alg, target, d)
+                assert d.is_definable == merging_decide(alg, target).is_definable

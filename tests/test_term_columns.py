@@ -18,7 +18,7 @@ from qfdef import (
     merging_decide,
     splitting_decide,
 )
-from qfdef.algebra import EXTENSION_CHUNK, TermColumns, pack
+from qfdef.algebra import EXTENSION_CHUNK, ProductSpace, TermColumns, pack, tuple_codes
 
 SIGNATURE = (("u", 1), ("f", 2), ("g", 3))
 
@@ -121,8 +121,8 @@ def test_masks_at_lane_width_boundaries(n):
     for t, u in itertools.product(terms, repeat=2):
         ct, cu = kernel.column(t), kernel.column(u)
         assert kernel.rows(kernel.agree(t, u)) == [i for i in range(len(space)) if ct[i] == cu[i]]
-    flags = [x < y for x, y in space]
-    assert kernel.rows(kernel.mask(flags)) == [i for i, f in enumerate(flags) if f]
+    rows = [i for i, (x, y) in enumerate(space) if x < y]
+    assert kernel.rows(kernel.mask(rows)) == rows
 
 
 def test_pack_puts_value_i_in_lane_i():
@@ -149,3 +149,27 @@ def test_splitting_at_lane_width_boundaries_agrees_with_merging(n):
             m = merging_decide(alg, rel)
             assert m.is_definable == definable
             check_decision(alg, rel, m)
+
+
+@pytest.mark.parametrize("n,k", [(255, 2), (256, 2), (257, 2)] + [(n, k) for n in (3, 4, 5) for k in (1, 2, 3, 4)])
+def test_product_space_rows_and_variable_columns(n, k):
+    # 8-bit lanes up to n = 256, 16-bit lanes from 257
+    tuples = list(itertools.product(range(n), repeat=k))
+    space = ProductSpace(n, k)
+    assert len(space) == len(tuples)
+    assert space.take(range(len(tuples))) == tuples
+    sample = random.Random(n * 10 + k).sample(range(len(tuples)), min(50, len(tuples)))
+    assert space.take(sample) == [tuples[r] for r in sample]
+    # a tuple's code is its row, so sorted tuples code to 0, 1, 2, ...
+    assert list(tuple_codes(tuples, n)) == list(range(len(tuples)))
+    alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("h", 1, [x // 2 for x in range(n)])])
+    kernel, listed = TermColumns(alg, space), TermColumns(alg, tuples)
+    assert kernel.width == (8 if n <= 256 else 16)
+    for j in range(k):
+        assert kernel.column(Var(j)) == [t[j] for t in tuples]
+        assert kernel.packed(Var(j)) == listed.packed(Var(j))
+    for t in (App("s", (Var(k - 1),)), App("h", (App("s", (Var(0),)),))):
+        assert kernel.column(t) == listed.column(t)
+        assert kernel.agree(t, Var(0)) == listed.agree(t, Var(0))
+    codes = sorted(tuple_codes(set(tuples[r] for r in sample), n))
+    assert kernel.rows(kernel.mask(codes)) == codes
