@@ -216,11 +216,14 @@ def formula_variables(phi: QfFormula) -> set[int]:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+# The renamers hand lists to App, And and Or: tuple() over a generator shrinks
+# a ten-slot tuple, and shrunken tuples pile up on CPython's per-size free
+# lists until a full garbage collection, which rarely runs in the deciders.
 def substitute_term(t: Term, mapping: dict[int, int]) -> Term:
     """Rename variables of `t` according to index mapping."""
     if isinstance(t, Var):
         return Var(mapping[t.index]) if t.index in mapping else t
-    return App(t.symbol, tuple(substitute_term(s, mapping) for s in t.args))
+    return App(t.symbol, [substitute_term(s, mapping) for s in t.args])
 
 
 def substitute_formula(phi: QfFormula, mapping: dict[int, int]) -> QfFormula:
@@ -231,9 +234,9 @@ def substitute_formula(phi: QfFormula, mapping: dict[int, int]) -> QfFormula:
     if isinstance(phi, Not):
         return Not(substitute_formula(phi.inner, mapping))
     if isinstance(phi, And):
-        return And(tuple(substitute_formula(c, mapping) for c in phi.children))
+        return And([substitute_formula(c, mapping) for c in phi.children])
     if isinstance(phi, Or):
-        return Or(tuple(substitute_formula(c, mapping) for c in phi.children))
+        return Or([substitute_formula(c, mapping) for c in phi.children])
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -420,44 +423,31 @@ def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
 def tuple_codes(tuples: Collection[Sequence[int]], n: int) -> Iterator[int]:
     """The codes a0*n**(k-1) + ... + a(k-1) of k-tuples over an n-element
     universe, in iteration order: they sort as their tuples do, and they
-    number the rows of `ProductSpace(n, k)`."""
-    # lazy, one pass per entry position: a list of codes, or zip(*tuples)
-    # with its iterator per tuple, raised the peak resident memory
-    k = len(next(iter(tuples), ()))
-    codes = map(operator.itemgetter(0), tuples) if k else iter(())
-    for j in range(1, k):
+    number the rows of `ProductSpace(n, k)`.  Lazy, one pass per position."""
+    codes = map(operator.itemgetter(0), tuples)
+    for j in range(1, len(next(iter(tuples), ()))):
         shifted = map(operator.mul, codes, itertools.repeat(n))
         codes = map(operator.add, shifted, map(operator.itemgetter(j), tuples))
     return codes
 
 
+@dataclass(frozen=True)
 class ProductSpace:
     """All of A**k as rows in lexicographic order, lazily: row r is the
-    k-tuple whose code is r, and it is decoded only by `take`.  Entry j
-    of every row, `digits(j)`, is a run of each value n**(k-1-j) times,
-    n**j times over, so it is built by repetition, without any tuple."""
+    k-tuple whose code is r.  Entry j of every row, `digits(j)`, is a run
+    of each value n**(k-1-j) times, n**j times over, so it is built by
+    repetition, without any tuple."""
 
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.k = k
+    n: int
+    k: int
 
     def __len__(self) -> int:
         return self.n**self.k
-
-    def take(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
-        """The tuples of the given rows, decoded one entry position at a time."""
-        n, k = self.n, self.k
-        return list(zip(*([r // n ** (k - 1 - j) % n for r in rows] for j in range(k))))
 
     def digits(self, j: int) -> list[int]:
         reps = self.n ** (self.k - 1 - j)
         runs = map(itertools.repeat, range(self.n), itertools.repeat(reps))
         return list(itertools.chain.from_iterable(runs)) * self.n**j
-
-    def packed_digits(self, j: int, width: int) -> int:
-        """`pack(self.digits(j), width)`, by bytes repetition."""
-        lanes = b"".join(x.to_bytes(width // 8, "little") * self.n ** (self.k - 1 - j) for x in range(self.n))
-        return int.from_bytes(lanes * self.n**j, "little")
 
 
 def lane_width(n: int) -> int:
@@ -484,7 +474,8 @@ def pack(values: Iterable[int], width: int) -> int:
 
 class TermColumns:
     """Term values as columns over a fixed sequence of tuples, the rows: a
-    list, or a `ProductSpace`, whose variable columns are its digits.
+    list, or a `ProductSpace`, whose variable columns are its digits and
+    whose rows are read back as tuples from those columns.
 
     `column(t)[i]` is `eval_term(alg, t, a)` for the tuple a of row i.  Each
     distinct term is evaluated once, over all rows at a time, and
@@ -519,11 +510,7 @@ class TermColumns:
     def packed(self, t: Term) -> int:
         p = self._packed.get(t)
         if p is None:
-            if isinstance(t, Var) and isinstance(self.space, ProductSpace):
-                p = self.space.packed_digits(t.index, self.width)  # no list column needed
-            else:
-                p = pack(self.column(t), self.width)
-            self._packed[t] = p
+            p = self._packed[t] = pack(self.column(t), self.width)
         return p
 
     def _lane_masks(self) -> tuple[int, int]:
@@ -556,6 +543,10 @@ class TermColumns:
             top[i] = 0x80
         return int.from_bytes(lanes, "little")
 
+    def members(self, target: Collection[tuple[int, ...]]) -> int:
+        """The mask of the rows in `target`, over a list of tuples: one C-level lookup per row."""
+        return pack(map(target.__contains__, self.space), self.width) << self.width - 1
+
     def rows(self, mask: int) -> list[int]:
         """The rows of a mask, ascending."""
         step = self.width // 8
@@ -563,9 +554,10 @@ class TermColumns:
         return list(itertools.compress(range(len(tops)), tops))
 
     def tuples(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
-        """The tuples of the given rows."""
-        space = self.space
-        return space.take(rows) if isinstance(space, ProductSpace) else [space[i] for i in rows]
+        """The tuples of the given rows; a product space's come from its variable columns."""
+        if isinstance(self.space, ProductSpace):
+            return list(zip(*(map(self.column(Var(j)).__getitem__, rows) for j in range(self.space.k))))
+        return list(map(self.space.__getitem__, rows))
 
     def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
         """A kernel over the given rows of this space, seeded with the
@@ -573,8 +565,7 @@ class TermColumns:
         sub = TermColumns(self.alg, self.tuples(rows))
         sub._table_rows = self._table_rows
         for t in terms:
-            col = self.column(t)
-            sub._columns[t] = [col[i] for i in rows]
+            sub._columns[t] = list(map(self.column(t).__getitem__, rows))
         return sub
 
     def _evaluate(self, t: Term) -> list[int]:

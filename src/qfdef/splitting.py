@@ -12,28 +12,23 @@ between their generated subuniverses separates the target.
 
 This is partition refinement over an indexed space (Paige and Tarjan,
 "Three partition refinement algorithms", 1987).  A `TermColumns` kernel
-evaluates each term once into a column over all its rows.  The rows of
-the kernel a target starts on are the codes of all of A**k
-(`ProductSpace`), the base-n codes `merging.OrbitStore` numbers tuples
-by, and all targets of arity k in one decision share it and its
-columns.  A block is a row mask, an int with one flag per row in the
-kernel's lanes.  The initial block is the rows where no two variables
-agree, the repetition-free tuples, and target membership is the mask of
-the target tuples' codes, so no tuple is built or hashed before the
-first split.  A split is bit
-arithmetic over whole masks: the rows where the new term agrees with a
-witness are `rest & agree(t, s)`, one xor of packed columns and a
+evaluates each term once into a column over all its rows.  All targets
+of arity k in a decision start on one kernel, whose rows follow the
+base-n codes `merging.OrbitStore` numbers tuples by: up to arity 2 all
+of A**k (`ProductSpace`, row r is code r), from arity 3 on just the
+repetition-free tuples.  A block is a row mask, an int with one flag per
+row in the kernel's lanes; the initial block is the rows where no two
+variables agree, and target membership is one such mask.  A split is
+bit arithmetic over whole masks: the rows where the new term agrees with
+a witness are `rest & agree(t, s)`, one xor of packed columns and a
 zero-lane test, and they leave the rest by `rest ^= eq`.
 
 Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's
-repetition-free rows is rebased onto a kernel over just its own rows,
-seeded with its witnesses' columns; its successors inherit that smaller
-space.  The shared A**k kernel is rebased so at once where its
-repetition-free rows are that rare, as at arities near n.  Rows
-turn back into tuples only where a tuple is needed: that rebasing, the
-terminal block handed to `extract_counterexample` and the debug
-invariant checks.
+rows is rebased onto a kernel over just its own rows, seeded with its
+witnesses' columns; its successors inherit that smaller space.  Rows of
+A**k become tuples only there, in the terminal block handed to
+`extract_counterexample` and in the debug checks.
 
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
@@ -56,8 +51,8 @@ from .algebra import (
     Eq,
     Not,
     Or,
-    QfFormula,
     ProductSpace,
+    QfFormula,
     Relation,
     TermColumns,
     Term,
@@ -71,6 +66,8 @@ from .isotype import Subisomorphism, iso_type, subiso_from_signatures
 from .preprocess import assemble, decompose, expand, recombine
 
 Trace = Callable[[str], None]
+# a kernel, the mask of its repetition-free rows, and a target's membership mask on it
+BaseKernel = tuple[TermColumns, int, Callable[[frozenset], int]]
 
 # a popped mixed block holding less than this share of its space's rows
 # moves to a kernel over its own rows; set 0 to never and 2 to always move
@@ -84,10 +81,10 @@ class Block:
     mask over the `TermColumns` space the block lives in (see
     `TermColumns`): the top bit of lane i is set when row i is a member,
     so `tuples.bit_count()` is the block's size.  That space is the
-    target arity's shared kernel (A**k, or its repetition-free rows), or,
-    once an ancestor block was compacted, just that ancestor's rows.  The
-    public single-step form of `process_mixed_block` takes and returns a
-    set of tuples instead.
+    target arity's shared kernel (A**k, or its repetition-free rows from
+    arity 3 on), or, once an ancestor block was compacted, just that
+    ancestor's rows.  The public single-step form of `process_mixed_block`
+    takes and returns a set of tuples instead.
     `witnesses` are terms that pairwise disagree on every member tuple;
     `new_witnesses` are the witnesses added since the last term refill
     and drive the generation of the next term layer; `terms_to_process`
@@ -347,37 +344,31 @@ def _tuples(b: Block, columns: TermColumns) -> set[tuple[int, ...]]:
     return set(columns.tuples(columns.rows(b.tuples)))
 
 
-def _membership(columns: TermColumns, target: frozenset) -> int:
-    """The mask of the target's rows: its codes on a product space, else a lookup per row."""
-    if isinstance(columns.space, ProductSpace):
-        return columns.mask(tuple_codes(target, columns.alg.size))
-    return columns.mask(itertools.compress(itertools.count(), map(target.__contains__, columns.space)))
-
-
 def _compact(columns: TermColumns, b: Block, target: frozenset) -> tuple[TermColumns, int]:
     """Rebase `b` onto a kernel over its own rows; returns the kernel and its
     membership mask, and sets `b.tuples` to the kernel's full mask."""
     columns = columns.restrict(columns.rows(b.tuples), b.witnesses)
     b.tuples = columns.full
-    return columns, _membership(columns, target)
+    return columns, columns.members(target)
 
 
-def _base_kernel(alg: Algebra, k: int) -> tuple[TermColumns, int]:
-    """The kernel every target of arity k starts on, with the mask of its
-    repetition-free rows: A**k, rebased onto those rows right away when
-    they are less than `COMPACT_SHARE` of it (k near n)."""
-    columns = TermColumns(alg, ProductSpace(alg.size, k))
-    distinct = columns.full
-    for i, j in itertools.combinations(range(k), 2):
-        distinct &= ~columns.agree(Var(i), Var(j))
-    if distinct.bit_count() < COMPACT_SHARE * len(columns.space):
-        columns = columns.restrict(columns.rows(distinct), ())
-        distinct = columns.full
-    return columns, distinct
+def _base_kernel(alg: Algebra, k: int) -> BaseKernel:
+    """The kernel every target of arity k starts on, the mask of its
+    repetition-free rows, and the map from a target to its membership mask.
+    From k = 3 on, where A**k holds more rows with a repeated entry (40 of
+    64 at n = 4), the kernel is just the repetition-free tuples, and a set
+    lookup per row beats a Python loop scattering the target's codes."""
+    n = alg.size
+    if k < 3:
+        columns = TermColumns(alg, ProductSpace(n, k))
+        distinct = columns.full & ~columns.agree(Var(0), Var(1)) if k == 2 else columns.full
+        return columns, distinct, lambda target: columns.mask(tuple_codes(target, n))
+    columns = TermColumns(alg, list(itertools.permutations(range(n), k)))
+    return columns, columns.full, columns.members
 
 
 def _single_target(
-    base: tuple[TermColumns, int],
+    base: BaseKernel,
     target: frozenset[tuple[int, ...]],
     k: int,
     stats: SplitStats,
@@ -391,12 +382,10 @@ def _single_target(
 
     Returns (True, formula) or (False, terminal_block), the terminal block
     with its rows turned back into a set of tuples.  Each pending block
-    travels with its kernel and that kernel's membership mask.  The rows
-    of A**k with a repeated entry do not count toward `COMPACT_SHARE`.
+    travels with its kernel and that kernel's membership mask.
     """
-    columns, distinct = base
-    alg, live = columns.alg, distinct.bit_count()
-    member = _membership(columns, target)
+    columns, distinct, membership = base
+    alg, member = columns.alg, membership(target)
     checker = _DebugChecker(alg, target, k, check_term_repr) if debug else None
     initial = Block(distinct, (), (), [Var(i) for i in range(k)], (), 0)
     stats.blocks_created += 1
@@ -421,7 +410,7 @@ def _single_target(
                 checker.check_terminal(b, columns)
             b.tuples = frozenset(_tuples(b, columns))
             return False, b
-        if b.tuples.bit_count() < COMPACT_SHARE * (live if columns is base[0] else len(columns.space)):
+        if b.tuples.bit_count() < COMPACT_SHARE * len(columns.space):
             columns, member = _compact(columns, b, target)
         successors = process_mixed_block(alg, b, columns, stats)
         if checker:
@@ -461,7 +450,7 @@ def splitting_decide(
     if not bundle.targets:
         return Definable(FALSE)
     parts = []
-    kernels: dict[int, tuple[TermColumns, int]] = {}
+    kernels: dict[int, BaseKernel] = {}
     for target in bundle.targets:
         if trace:
             trace(f"target of arity {target.arity} with {len(target.tuples)} tuples")

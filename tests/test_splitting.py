@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -25,7 +24,7 @@ from qfdef import (
     splitting_decide,
 )
 import qfdef.splitting
-from qfdef.algebra import ProductSpace, TermColumns
+from qfdef.algebra import TermColumns
 from qfdef.splitting import Block, _DebugChecker, _base_kernel, extract_counterexample
 
 from conftest import plant_negative, random_instance
@@ -250,23 +249,25 @@ def test_compaction_changes_no_decision_trace_or_counter(monkeypatch):
     assert run(debug=True)[-20:] == default[-20:]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_arity_n_where_the_product_space_is_mostly_repeated_entries(n):
-    # A**n has n**n rows and only n! of them are repetition-free (6 of 27,
-    # 24 of 256, 120 of 3125); both algebras have automorphisms, so planted
-    # negatives exist
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (5, 5), (4, 3), (6, 3), (6, 4), (5, 2)])
+def test_base_kernel_keeps_the_repetition_free_rows_from_arity_3(n, k):
+    # A**k has n**k rows and n!/(n-k)! of them are repetition-free (6 of 27
+    # at n = k = 3, 120 of 3125 at n = k = 5); both algebras have
+    # automorphisms, so planted negatives exist
     succ = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)])])
     for alg in (gen_abelian_group((n,)), succ):
-        columns, distinct = _base_kernel(alg, n)
-        assert columns.tuples(columns.rows(distinct)) == list(itertools.permutations(range(n), n))
-        # the shared kernel starts on the repetition-free rows alone where they
-        # are below COMPACT_SHARE of A**n, so whole-space masks never dominate
-        rebased = math.factorial(n) < qfdef.splitting.COMPACT_SHARE * n**n
-        assert rebased == (n > 3)
-        assert isinstance(columns.space, ProductSpace) != rebased
+        columns, distinct, membership = _base_kernel(alg, k)
+        perms = list(itertools.permutations(range(n), k))
+        assert columns.tuples(columns.rows(distinct)) == perms
+        # from arity 3 on no mask spans the rows with a repeated entry
+        assert len(columns.space) == (len(perms) if k >= 3 else n**k)
+        target = frozenset(perms[::3])
+        assert columns.tuples(columns.rows(membership(target))) == sorted(target)
         for seed in range(3):
-            rel = extension(alg, gen_random_formula(alg, n, seed=seed), n)
+            rel = extension(alg, gen_random_formula(alg, k, seed=seed), k)
             for target in (rel, plant_negative(alg, rel, random.Random(seed))):
+                if target is None:
+                    continue
                 d = splitting_decide(alg, target)
                 check_decision(alg, target, d)
                 assert d.is_definable == merging_decide(alg, target).is_definable

@@ -155,21 +155,25 @@ def test_splitting_at_lane_width_boundaries_agrees_with_merging(n):
 def test_product_space_rows_and_variable_columns(n, k):
     # 8-bit lanes up to n = 256, 16-bit lanes from 257
     tuples = list(itertools.product(range(n), repeat=k))
-    space = ProductSpace(n, k)
-    assert len(space) == len(tuples)
-    assert space.take(range(len(tuples))) == tuples
-    sample = random.Random(n * 10 + k).sample(range(len(tuples)), min(50, len(tuples)))
-    assert space.take(sample) == [tuples[r] for r in sample]
-    # a tuple's code is its row, so sorted tuples code to 0, 1, 2, ...
-    assert list(tuple_codes(tuples, n)) == list(range(len(tuples)))
     alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("h", 1, [x // 2 for x in range(n)])])
-    kernel, listed = TermColumns(alg, space), TermColumns(alg, tuples)
+    kernel, listed = TermColumns(alg, ProductSpace(n, k)), TermColumns(alg, tuples)
+    assert len(kernel.space) == len(tuples)
     assert kernel.width == (8 if n <= 256 else 16)
     for j in range(k):
         assert kernel.column(Var(j)) == [t[j] for t in tuples]
         assert kernel.packed(Var(j)) == listed.packed(Var(j))
+    assert kernel.tuples(range(len(tuples))) == tuples
+    sample = random.Random(n * 10 + k).sample(range(len(tuples)), min(50, len(tuples)))
+    assert kernel.tuples(sample) == [tuples[r] for r in sample]
+    # a tuple's code is its row, so sorted tuples code to 0, 1, 2, ...
+    assert list(tuple_codes(tuples, n)) == list(range(len(tuples)))
     for t in (App("s", (Var(k - 1),)), App("h", (App("s", (Var(0),)),))):
         assert kernel.column(t) == listed.column(t)
         assert kernel.agree(t, Var(0)) == listed.agree(t, Var(0))
     codes = sorted(tuple_codes(set(tuples[r] for r in sample), n))
     assert kernel.rows(kernel.mask(codes)) == codes
+    # restricting to rows decodes their tuples and carries the seeded columns
+    sub = kernel.restrict(sample, [Var(k - 1)])
+    assert sub.space == [tuples[r] for r in sample]
+    assert sub.column(Var(k - 1)) == [tuples[r][k - 1] for r in sample]
+    assert sub.rows(sub.members({tuples[r] for r in sample[::2]})) == list(range(0, len(sample), 2))
