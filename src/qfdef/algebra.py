@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import re
 import sys
@@ -423,7 +424,7 @@ def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
 def tuple_codes(tuples: Collection[Sequence[int]], n: int) -> Iterator[int]:
     """The codes a0*n**(k-1) + ... + a(k-1) of k-tuples over an n-element
     universe, in iteration order: they sort as their tuples do, and they
-    number the rows of `ProductSpace(n, k)`.  Lazy, one pass per position."""
+    number the rows of `product_columns(n, k)`.  Lazy, one pass per position."""
     codes = map(operator.itemgetter(0), tuples)
     for j in range(1, len(next(iter(tuples), ()))):
         shifted = map(operator.mul, codes, itertools.repeat(n))
@@ -431,23 +432,29 @@ def tuple_codes(tuples: Collection[Sequence[int]], n: int) -> Iterator[int]:
     return codes
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    """All of A**k as rows in lexicographic order, lazily: row r is the
-    k-tuple whose code is r.  Entry j of every row, `digits(j)`, is a run
-    of each value n**(k-1-j) times, n**j times over, so it is built by
-    repetition, without any tuple."""
+def product_columns(n: int, k: int) -> list[list[int]]:
+    """The variable columns of all of A**k in lexicographic order, so row r
+    is the k-tuple whose code is r.  Column j is a run of each value
+    n**(k-1-j) times, n**j times over, so it is built by repetition."""
+    return [_runs(range(n), n ** (k - 1 - j)) * n**j for j in range(k)]
 
-    n: int
-    k: int
 
-    def __len__(self) -> int:
-        return self.n**self.k
+def permutation_columns(n: int, k: int) -> list[list[int]]:
+    """The variable columns of the repetition-free k-tuples, k <= n, in
+    lexicographic order.  Column j is entry j of each repetition-free
+    (j+1)-tuple, repeated once per way to extend it to k entries, so no
+    k-tuple is built."""
+    return [
+        _runs(map(operator.itemgetter(j), itertools.permutations(range(n), j + 1)), math.perm(n - 1 - j, k - 1 - j))
+        for j in range(k)
+    ]
 
-    def digits(self, j: int) -> list[int]:
-        reps = self.n ** (self.k - 1 - j)
-        runs = map(itertools.repeat, range(self.n), itertools.repeat(reps))
-        return list(itertools.chain.from_iterable(runs)) * self.n**j
+
+def _runs(values: Iterable[int], r: int) -> list[int]:
+    """Each of `values` r times in a row."""
+    if r == 1:  # a last column: one repeat object per value would double its cost
+        return list(values)
+    return list(itertools.chain.from_iterable(map(itertools.repeat, values, itertools.repeat(r))))
 
 
 def lane_width(n: int) -> int:
@@ -473,9 +480,10 @@ def pack(values: Iterable[int], width: int) -> int:
 
 
 class TermColumns:
-    """Term values as columns over a fixed sequence of tuples, the rows: a
-    list, or a `ProductSpace`, whose variable columns are its digits and
-    whose rows are read back as tuples from those columns.
+    """Term values as columns over a fixed sequence of k-tuples, the rows.
+    A kernel is built from its k variable columns: row i is entry i of
+    each, `column(Var(j))` is the j-th of them, and `tuples` zips them
+    only where a row is wanted as a tuple.
 
     `column(t)[i]` is `eval_term(alg, t, a)` for the tuple a of row i.  Each
     distinct term is evaluated once, over all rows at a time, and
@@ -492,11 +500,12 @@ class TermColumns:
     only evaluate columns (`extension`'s chunks) never pay for them.
     """
 
-    def __init__(self, alg: Algebra, space: Sequence[tuple[int, ...]]):
+    def __init__(self, alg: Algebra, variables: Sequence[list[int]]):
         self.alg = alg
-        self.space = space
+        self.variables = variables
+        self.length = len(variables[0]) if variables else 0
         self.width = lane_width(alg.size)
-        self._columns: dict[Term, list[int]] = {}
+        self._columns: dict[Term, list[int]] = {Var(j): col for j, col in enumerate(variables)}
         self._packed: dict[Term, int] = {}
         self._table_rows: dict[str, list[tuple[int, ...]]] = {}
         self._lanes: tuple[int, int] | None = None
@@ -517,7 +526,7 @@ class TermColumns:
         """(low, high): every lane's low `width - 1` bits, and every lane's top bit."""
         if self._lanes is None:
             w = self.width
-            high = int.from_bytes((1 << w - 1).to_bytes(w // 8, "little") * len(self.space), "little")
+            high = int.from_bytes((1 << w - 1).to_bytes(w // 8, "little") * self.length, "little")
             self._lanes = (high - (high >> w - 1), high)
         return self._lanes
 
@@ -537,51 +546,44 @@ class TermColumns:
     def mask(self, rows: Iterable[int]) -> int:
         """The mask of the given rows: one byte written per row."""
         step = self.width // 8
-        lanes = bytearray(step * len(self.space))
+        lanes = bytearray(step * self.length)
         top = memoryview(lanes)[step - 1 :: step]  # the byte of each lane's top bit
         for i in rows:
             top[i] = 0x80
         return int.from_bytes(lanes, "little")
 
     def members(self, target: Collection[tuple[int, ...]]) -> int:
-        """The mask of the rows in `target`, over a list of tuples: one C-level lookup per row."""
-        return pack(map(target.__contains__, self.space), self.width) << self.width - 1
+        """The mask of the rows in `target`: one C-level lookup per row."""
+        return pack(map(target.__contains__, zip(*self.variables)), self.width) << self.width - 1
 
     def rows(self, mask: int) -> list[int]:
         """The rows of a mask, ascending."""
         step = self.width // 8
-        tops = mask.to_bytes(step * len(self.space), "little")[step - 1 :: step]
+        tops = mask.to_bytes(step * self.length, "little")[step - 1 :: step]
         return list(itertools.compress(range(len(tops)), tops))
 
     def tuples(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
-        """The tuples of the given rows; a product space's come from its variable columns."""
-        if isinstance(self.space, ProductSpace):
-            return list(zip(*(map(self.column(Var(j)).__getitem__, rows) for j in range(self.space.k))))
-        return list(map(self.space.__getitem__, rows))
+        """The tuples of the given rows."""
+        return list(zip(*(map(c.__getitem__, rows) for c in self.variables)))
 
     def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
-        """A kernel over the given rows of this space, seeded with the
-        columns of `terms` gathered at those rows."""
-        sub = TermColumns(self.alg, self.tuples(rows))
+        """A kernel over the given rows, seeded with the columns of the
+        variables and of `terms` gathered at those rows."""
+        sub = TermColumns(self.alg, [list(map(c.__getitem__, rows)) for c in self.variables])
         sub._table_rows = self._table_rows
         for t in terms:
-            sub._columns[t] = list(map(self.column(t).__getitem__, rows))
+            if t not in sub._columns:
+                sub._columns[t] = list(map(self.column(t).__getitem__, rows))
         return sub
 
     def _evaluate(self, t: Term) -> list[int]:
-        space = self.space
         if isinstance(t, Var):
-            i = t.index
-            if isinstance(space, ProductSpace):
-                return space.digits(i)
-            if space and i >= len(space[0]):
-                raise ValueError(f"variable x{i} out of range for a tuple of length {len(space[0])}")
-            return list(map(operator.itemgetter(i), space))
+            raise ValueError(f"variable x{t.index} out of range for a tuple of length {len(self.variables)}")
         op = self.alg.op(t.symbol)
         tab = op.table
         if len(t.args) != op.arity:
             if not t.args and t.symbol in self.alg.constants:
-                return [tab[0]] * len(space)
+                return [tab[0]] * self.length
             raise ValueError(
                 f"symbol {t.symbol!r} applied to {len(t.args)} arguments, arity is {op.arity}"
             )
@@ -603,9 +605,9 @@ class TermColumns:
     def truth(self, phi: QfFormula) -> list[bool]:
         """Truth value of `phi` at every row, from the term columns."""
         if isinstance(phi, TrueFormula):
-            return [True] * len(self.space)
+            return [True] * self.length
         if isinstance(phi, FalseFormula):
-            return [False] * len(self.space)
+            return [False] * self.length
         if isinstance(phi, Eq):
             return [x == y for x, y in zip(self.column(phi.lhs), self.column(phi.rhs))]
         if isinstance(phi, Not):
@@ -638,7 +640,8 @@ def extension(alg: Algebra, phi: QfFormula, k: int) -> Relation:
     product = itertools.product(range(alg.size), repeat=k)
     hits: list[tuple[int, ...]] = []
     while chunk := list(itertools.islice(product, EXTENSION_CHUNK)):
-        hits.extend(itertools.compress(chunk, TermColumns(alg, chunk).truth(phi)))
+        kernel = TermColumns(alg, [list(c) for c in zip(*chunk)])
+        hits.extend(itertools.compress(chunk, kernel.truth(phi)))
     return Relation(k, frozenset(hits))
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 definable / success, 1 not definable, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -71,13 +72,7 @@ def _decision_json(alg: Algebra, decision: Decision, stats: SplitStats | None = 
             "gamma": decision.gamma.to_json(),
         }
     if stats is not None:
-        doc["stats"] = {
-            "blocks_created": stats.blocks_created,
-            "steps": stats.steps,
-            "refills": stats.refills,
-            "full_blocks": stats.full_blocks,
-            "max_depth": stats.max_depth,
-        }
+        doc["stats"] = dataclasses.asdict(stats)
     return doc
 
 

@@ -213,15 +213,6 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
     return True
 
 
-class _StackEntry:
-    __slots__ = ("sub", "pending", "generators")
-
-    def __init__(self, sub: frozenset[int], pending: Iterator[tuple[tuple[int, ...], int]], generators: list):
-        self.sub = sub
-        self.pending = pending
-        self.generators = generators
-
-
 def _coded_tuples(elements: frozenset[int], store: OrbitStore) -> Iterator[tuple[tuple[int, ...], int]]:
     """The repetition-free tuples over `elements`, by arity in the spec,
     then lexicographically, each with its code in `store`."""
@@ -262,23 +253,23 @@ def merging_decide(
         return Definable(FALSE)
     store = OrbitStore(alg, bundle, debug=debug)
     universe = frozenset(range(alg.size))
-    stack = [_StackEntry(universe, _coded_tuples(universe, store), [])]
+    # (node, its pending tuples); a node is a subuniverse, entered at most once
+    stack = [(universe, _coded_tuples(universe, store))]
     while stack:
-        entry = stack[-1]
-        for a, c in entry.pending:  # resumes after the tuple that last descended
+        node, pending = stack[-1]
+        for a, c in pending:  # resumes after the tuple that last descended
             if store.find(c) in store.type:
                 continue
             sig = iso_type(alg, a)
             type_a, universe_a = sig.key, sig.universe
             if trace:
-                trace(f"pop {a}: new type, |sg|={len(universe_a)}, |node|={len(entry.sub)}")
-            # a tuple generating the whole node is matched against the node's
-            # generators only; a smaller one against every tagged orbit
-            generates_node = len(universe_a) == len(entry.sub)
-            if generates_node:
-                hit = next((r for r in map(store.orbit, entry.generators) if store.type[r] == type_a), None)
-            else:
-                hit = store.find_tagged(len(a), type_a)
+                trace(f"pop {a}: new type, |sg|={len(universe_a)}, |node|={len(node)}")
+            # a tagged orbit's donor generates a node, so a hit for a tuple
+            # generating this node is one of its generators: a node of the
+            # same type entered earlier was finished, and then this node's
+            # first generator would have merged with it instead of descending
+            generates_node = len(universe_a) == len(node)
+            hit = store.find_tagged(len(a), type_a)
             if hit is not None:
                 gamma = Subisomorphism(universe_a, store.universe[hit])
                 if trace:
@@ -291,19 +282,18 @@ def merging_decide(
                 continue
             store.tag_orbit(a, type_a, universe_a)
             if generates_node:
-                entry.generators.append(a)
                 if trace:
                     trace("  tagged as a new generator")
                 continue
             sub = frozenset(universe_a)
-            if debug and len(sub) >= len(entry.sub):
+            if debug and len(sub) >= len(node):
                 raise AssertionError("pushed node must be strictly smaller")
-            stack.append(_StackEntry(sub, _coded_tuples(sub, store), [a]))
+            stack.append((sub, _coded_tuples(sub, store)))
             if trace:
                 trace(f"  descend into subuniverse {sorted(sub)}")
             break
         else:  # the node is exhausted without a descent
             if debug:
-                store.check_all_known(entry.sub)
+                store.check_all_known(node)
             stack.pop()
     return Definable(None)

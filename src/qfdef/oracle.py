@@ -71,6 +71,8 @@ def oracle_definable(alg: Algebra, rel: Relation, *, budget: int = DEFAULT_BUDGE
     Returns a counterexample map and witness pair in the negative case.
     Intended for small inputs only.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     rel.check_over(alg)
     bundle = decompose(rel)
     if not bundle.targets:
@@ -123,6 +125,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]  # stored with a < b
 
     def __post_init__(self):
+        if type(self.vertices) is not int or self.vertices < 0:
+            raise ValueError(f"vertex count must be an integer >= 0, got {self.vertices!r}")
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a} not allowed")
@@ -149,8 +153,10 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(doc: dict) -> Graph:
     try:
         return Graph.of(doc["vertices"], doc["edges"])
-    except (TypeError, KeyError) as e:
+    except KeyError as e:
         raise ValueError(f"malformed graph document: missing {e}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed graph document: {e}") from None
 
 
 def load_graph(path: str) -> Graph:

@@ -55,13 +55,7 @@ def squash(a: Sequence[int]) -> tuple[int, ...]:
     """Drop every entry equal to a prior entry, keeping first occurrences."""
     if not a:
         raise ValueError("cannot squash an empty tuple")
-    out: list[int] = []
-    seen: set[int] = set()
-    for x in a:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
+    return tuple(dict.fromkeys(a))
 
 
 def expand(pat: Pattern, squashed: Sequence[int]) -> tuple[int, ...]:
@@ -118,8 +112,12 @@ def decompose(rel: Relation, n: int | None = None) -> TargetBundle:
     groups: dict[Pattern, set[tuple[int, ...]]] = {}
     if plain:
         groups[Pattern(tuple((i,) for i in range(k)))] = plain
+    # a tuple's pattern follows from where each entry first appears, a C-level key
+    by_shape: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for a in repeated:
-        groups.setdefault(pattern(a), set()).add(squash(a))
+        by_shape.setdefault(tuple(map(a.index, a)), set()).add(squash(a))
+    for shape, squashed in by_shape.items():
+        groups[pattern(shape)] = squashed
     ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
     targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)
     spec = tuple(sorted({t.arity for t in targets}))

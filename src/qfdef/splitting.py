@@ -12,22 +12,23 @@ between their generated subuniverses separates the target.
 
 This is partition refinement over an indexed space (Paige and Tarjan,
 "Three partition refinement algorithms", 1987).  A `TermColumns` kernel
-evaluates each term once into a column over all its rows.  All targets
-of arity k in a decision start on one kernel, whose rows follow the
-base-n codes `merging.OrbitStore` numbers tuples by: up to arity 2 all
-of A**k (`ProductSpace`, row r is code r), from arity 3 on just the
-repetition-free tuples.  A block is a row mask, an int with one flag per
-row in the kernel's lanes; the initial block is the rows where no two
-variables agree, and target membership is one such mask.  A split is
-bit arithmetic over whole masks: the rows where the new term agrees with
-a witness are `rest & agree(t, s)`, one xor of packed columns and a
-zero-lane test, and they leave the rest by `rest ^= eq`.
+is its k variable columns, and it evaluates each further term once into
+a column over all its rows.  All targets of arity k in a decision start
+on one kernel, whose rows follow the base-n codes `merging.OrbitStore`
+numbers tuples by: up to arity 2 all of A**k (`product_columns`, row r
+is code r), from arity 3 on just the repetition-free tuples
+(`permutation_columns`).  A block is a row mask, an int with one flag
+per row in the kernel's lanes; the initial block is the rows where no
+two variables agree, and target membership is one such mask.  A split
+is bit arithmetic over whole masks: the rows where the new term agrees
+with a witness are `rest & agree(t, s)`, one xor of packed columns and
+a zero-lane test, and they leave the rest by `rest ^= eq`.
 
 Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's
-rows is rebased onto a kernel over just its own rows, seeded with its
-witnesses' columns; its successors inherit that smaller space.  Rows of
-A**k become tuples only there, in the terminal block handed to
+rows is rebased onto a kernel over just its own rows, its variable and
+witness columns gathered at those rows; its successors inherit that
+smaller space.  Rows become tuples only in the terminal block handed to
 `extract_counterexample` and in the debug checks.
 
 Block formulas are kept as flat literal tuples sharing structure between
@@ -51,7 +52,6 @@ from .algebra import (
     Eq,
     Not,
     Or,
-    ProductSpace,
     QfFormula,
     Relation,
     TermColumns,
@@ -59,6 +59,8 @@ from .algebra import (
     Var,
     applications,
     extension,
+    permutation_columns,
+    product_columns,
     tuple_codes,
 )
 from .decision import Decision, Definable, NotDefinable
@@ -186,7 +188,7 @@ def process_mixed_block(
         return [block]
     if columns is not None:
         return _split(columns, block, stats)
-    columns = TermColumns(alg, sorted(block.tuples))
+    columns = TermColumns(alg, [list(c) for c in zip(*sorted(block.tuples))])
     tuples, block.tuples = block.tuples, columns.full
     try:
         successors = _split(columns, block, stats)
@@ -355,15 +357,16 @@ def _compact(columns: TermColumns, b: Block, target: frozenset) -> tuple[TermCol
 def _base_kernel(alg: Algebra, k: int) -> BaseKernel:
     """The kernel every target of arity k starts on, the mask of its
     repetition-free rows, and the map from a target to its membership mask.
-    From k = 3 on, where A**k holds more rows with a repeated entry (40 of
-    64 at n = 4), the kernel is just the repetition-free tuples, and a set
+    Up to k = 2 the kernel is all of A**k and a target's codes are its
+    rows.  From k = 3 on, where A**k holds more rows with a repeated entry
+    (40 of 64 at n = 4), it is just the repetition-free tuples, and a set
     lookup per row beats a Python loop scattering the target's codes."""
     n = alg.size
     if k < 3:
-        columns = TermColumns(alg, ProductSpace(n, k))
+        columns = TermColumns(alg, product_columns(n, k))
         distinct = columns.full & ~columns.agree(Var(0), Var(1)) if k == 2 else columns.full
         return columns, distinct, lambda target: columns.mask(tuple_codes(target, n))
-    columns = TermColumns(alg, list(itertools.permutations(range(n), k)))
+    columns = TermColumns(alg, permutation_columns(n, k))
     return columns, columns.full, columns.members
 
 
@@ -410,7 +413,7 @@ def _single_target(
                 checker.check_terminal(b, columns)
             b.tuples = frozenset(_tuples(b, columns))
             return False, b
-        if b.tuples.bit_count() < COMPACT_SHARE * len(columns.space):
+        if b.tuples.bit_count() < COMPACT_SHARE * columns.length:
             columns, member = _compact(columns, b, target)
         successors = process_mixed_block(alg, b, columns, stats)
         if checker:

@@ -40,7 +40,9 @@ def test_decide_definable_exit_zero(capsys, diamond_files, strategy):
     doc = json.loads(out)
     assert doc["definable"] is True
     if strategy == "splitting":
-        assert "formula" in doc and "stats" in doc
+        assert "formula" in doc
+        assert list(doc["stats"]) == ["blocks_created", "steps", "refills", "full_blocks", "max_depth"]
+        assert all(type(v) is int for v in doc["stats"].values())
 
 
 @pytest.mark.parametrize("strategy", ["merging", "splitting"])
@@ -116,6 +118,13 @@ def test_oracle_budget_exit_code(capsys, diamond_files):
     assert code == 3
 
 
+def test_oracle_rejects_a_negative_budget(diamond_files):
+    alg, order, _ = diamond_files
+    proc = _run_cli(["oracle", "--algebra", alg, "--relation", order, "--budget", "-1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_gen_group_and_decide_round_trip(capsys, tmp_path):
     alg_path = tmp_path / "g.json"
     code, _ = run(capsys, ["gen", "group", "--factors", "2,2", "--out", str(alg_path)])
@@ -149,6 +158,15 @@ def test_gen_graph_star(capsys, tmp_path):
 
     star = load_algebra(str(out_path))
     assert star.size == 4
+
+
+@pytest.mark.parametrize("vertices", ['"3"', "-1", "2.0", "true", "null"])
+def test_gen_graph_star_rejects_a_malformed_vertex_count(tmp_path, vertices):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text('{"vertices": %s, "edges": []}' % vertices)
+    proc = _run_cli(["gen", "graph-star", "--graph", str(graph_path), "--out", str(tmp_path / "star.json")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_bench_cli_csv(capsys, tmp_path):

@@ -211,7 +211,7 @@ def test_term_representation_invariants_exhaustive():
 def test_debug_checker_rejects_a_split_of_isomorphic_tuples(diamond):
     # swapping u and u' is an automorphism, so (bottom, u) and (bottom, u') share a type
     space = list(itertools.permutations(range(4), 2))
-    columns = TermColumns(diamond, space)
+    columns = TermColumns(diamond, [list(c) for c in zip(*space)])
     checker = _DebugChecker(diamond, frozenset(), 2, False)
 
     def block(t):
@@ -260,7 +260,7 @@ def test_base_kernel_keeps_the_repetition_free_rows_from_arity_3(n, k):
         perms = list(itertools.permutations(range(n), k))
         assert columns.tuples(columns.rows(distinct)) == perms
         # from arity 3 on no mask spans the rows with a repeated entry
-        assert len(columns.space) == (len(perms) if k >= 3 else n**k)
+        assert columns.length == (len(perms) if k >= 3 else n**k)
         target = frozenset(perms[::3])
         assert columns.tuples(columns.rows(membership(target))) == sorted(target)
         for seed in range(3):

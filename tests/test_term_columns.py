@@ -18,9 +18,21 @@ from qfdef import (
     merging_decide,
     splitting_decide,
 )
-from qfdef.algebra import EXTENSION_CHUNK, ProductSpace, TermColumns, pack, tuple_codes
+from qfdef.algebra import (
+    EXTENSION_CHUNK,
+    TermColumns,
+    pack,
+    permutation_columns,
+    product_columns,
+    tuple_codes,
+)
 
 SIGNATURE = (("u", 1), ("f", 2), ("g", 3))
+
+
+def transposed(tuples, k):
+    """The k variable columns of a list of k-tuples."""
+    return [[a[j] for a in tuples] for j in range(k)]
 
 
 def with_constant(alg: Algebra, value: int) -> Algebra:
@@ -45,7 +57,7 @@ def test_column_matches_eval_term(seed):
     k = rng.randint(1, 3)
     alg = with_constant(gen_random_algebra(n, SIGNATURE, seed=seed), rng.randrange(n))
     space = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(40)]
-    kernel = TermColumns(alg, space)
+    kernel = TermColumns(alg, transposed(space, k))
     terms = [random_term(alg, k, rng, 3) for _ in range(60)]
     # every operation, with and without the constant rewrite, appears at least once
     terms += [App("u", (Var(0),)), App("f", (Var(0), Var(k - 1))), App("g", (Var(0),) * 3)]
@@ -61,14 +73,14 @@ def test_truth_matches_eval_formula():
     for seed in range(6):
         alg = gen_random_algebra(4, SIGNATURE, seed=seed)
         space = list(itertools.product(range(4), repeat=2))
-        kernel = TermColumns(alg, space)
+        kernel = TermColumns(alg, product_columns(4, 2))
         phi = gen_random_formula(alg, 2, seed=seed)
         assert kernel.truth(phi) == [eval_formula(alg, phi, a) for a in space]
 
 
 def test_arity_mismatch_raises_like_eval_term():
     alg = with_constant(gen_random_algebra(3, SIGNATURE, seed=0), 1)
-    kernel = TermColumns(alg, [(0, 1), (2, 2)])
+    kernel = TermColumns(alg, [[0, 2], [1, 2]])  # the tuples (0, 1) and (2, 2)
     for bad in (
         App("f", (Var(0),)),
         App("g", (Var(0), Var(1))),
@@ -86,14 +98,14 @@ def test_arity_mismatch_raises_like_eval_term():
 
 def test_bare_constant_column_is_full_length():
     alg = Algebra(3, [("f", 2, [0] * 9), ("e", 0, [2])])
-    kernel = TermColumns(alg, [(0,), (1,), (2,)])
+    kernel = TermColumns(alg, [[0, 1, 2]])
     assert kernel.column(App("e", ())) == [2, 2, 2]
     assert extension(alg, Eq(App("e", ()), Var(0)), 1).tuples == frozenset({(2,)})
 
 
 def test_empty_space_gives_empty_columns():
-    kernel = TermColumns(gen_random_algebra(2, SIGNATURE, seed=0), [])
-    assert kernel.column(App("f", (Var(0), Var(5)))) == []
+    kernel = TermColumns(gen_random_algebra(2, SIGNATURE, seed=0), [[], []])
+    assert kernel.column(App("f", (Var(0), Var(1)))) == []
     assert kernel.truth(Eq(Var(0), Var(1))) == []
 
 
@@ -113,7 +125,7 @@ def test_masks_at_lane_width_boundaries(n):
     # both ends of the universe and both sides of every power of two
     values = sorted({v for p in range(17) for v in (2**p - 1, 2**p, 2**p + 1) if v < n} | {n - 2, n - 1})
     space = list(itertools.product(values, repeat=2))
-    kernel = TermColumns(alg, space)
+    kernel = TermColumns(alg, transposed(space, 2))
     assert kernel.width == (8 if n <= 256 else 16 if n <= 65536 else 32)
     assert kernel.full.bit_count() == len(space)
     x0, x1 = Var(0), Var(1)
@@ -156,8 +168,8 @@ def test_product_space_rows_and_variable_columns(n, k):
     # 8-bit lanes up to n = 256, 16-bit lanes from 257
     tuples = list(itertools.product(range(n), repeat=k))
     alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("h", 1, [x // 2 for x in range(n)])])
-    kernel, listed = TermColumns(alg, ProductSpace(n, k)), TermColumns(alg, tuples)
-    assert len(kernel.space) == len(tuples)
+    kernel, listed = TermColumns(alg, product_columns(n, k)), TermColumns(alg, transposed(tuples, k))
+    assert kernel.length == len(tuples)
     assert kernel.width == (8 if n <= 256 else 16)
     for j in range(k):
         assert kernel.column(Var(j)) == [t[j] for t in tuples]
@@ -172,8 +184,49 @@ def test_product_space_rows_and_variable_columns(n, k):
         assert kernel.agree(t, Var(0)) == listed.agree(t, Var(0))
     codes = sorted(tuple_codes(set(tuples[r] for r in sample), n))
     assert kernel.rows(kernel.mask(codes)) == codes
-    # restricting to rows decodes their tuples and carries the seeded columns
+    # restricting to rows gathers the variable columns and the seeded ones
     sub = kernel.restrict(sample, [Var(k - 1)])
-    assert sub.space == [tuples[r] for r in sample]
+    assert sub.tuples(range(len(sample))) == [tuples[r] for r in sample]
     assert sub.column(Var(k - 1)) == [tuples[r][k - 1] for r in sample]
     assert sub.rows(sub.members({tuples[r] for r in sample[::2]})) == list(range(0, len(sample), 2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_permutation_columns_transpose_the_permutations(n):
+    for k in range(1, n + 1):
+        assert permutation_columns(n, k) == transposed(list(itertools.permutations(range(n), k)), k)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_kernels_from_columns_match_the_references(n):
+    # a kernel over A**2, one over the repetition-free pairs, and one
+    # restricted from each to a sample of its rows, at both lane widths
+    alg = Algebra(
+        n,
+        [("s", 1, [(x + 1) % n for x in range(n)]), ("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)])],
+    )
+    x0, x1 = Var(0), Var(1)
+    terms = [x0, x1, App("s", (x0,)), App("m", (x0, x1)), App("m", (App("s", (x1,)), x0)), App("m", (x1, x1))]
+    rng = random.Random(n)
+    kernels = []
+    for tuples, variables in (
+        (list(itertools.product(range(n), repeat=2)), product_columns(n, 2)),
+        (list(itertools.permutations(range(n), 2)), permutation_columns(n, 2)),
+    ):
+        kernel = TermColumns(alg, variables)
+        kernels.append((kernel, tuples))
+        rows = sorted(rng.sample(range(len(tuples)), 500))
+        kernels.append((kernel.restrict(rows, terms[2:4]), [tuples[r] for r in rows]))
+    for kernel, tuples in kernels:
+        assert kernel.length == len(tuples)
+        assert kernel.tuples(range(len(tuples))) == tuples
+        sample = rng.sample(range(len(tuples)), 200)
+        assert kernel.tuples(sample) == [tuples[r] for r in sample]
+        for t in terms:
+            col = kernel.column(t)
+            assert [col[r] for r in sample] == [eval_term(alg, t, tuples[r]) for r in sample], t
+        for t, u in itertools.combinations(terms, 2):
+            ct, cu = kernel.column(t), kernel.column(u)
+            assert kernel.rows(kernel.agree(t, u)) == [r for r in range(len(tuples)) if ct[r] == cu[r]]
+        target = frozenset(rng.sample(tuples, 300)) | {(0, 1), (n - 1, n - 2)}
+        assert kernel.rows(kernel.members(target)) == [r for r, a in enumerate(tuples) if a in target]
