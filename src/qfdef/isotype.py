@@ -1,13 +1,13 @@
 """Isomorphism types of tuples: canonical key plus generated universe.
 
-The computation closes the tuple under the fundamental operations in a
-fixed canonical order and numbers the values by first appearance, their
+The closure reads whole operation-table rows round by round, in a fixed
+canonical order, and numbers the values by first appearance, their
 rank.  The key lists the rank of the value at every closure position:
 the ranks of the tuple's own entries, then the operation tables of sg(a)
 relabelled by rank, entry by entry in the canonical application order.
 It is a canonical form in the sense of McKay and Piperno ("Practical
-graph isomorphism II", 2014).  Two tuples get the same key exactly when they
-are connected by an isomorphism between the substructures they
+graph isomorphism II", 2014).  Two tuples get the same key exactly when
+they are connected by an isomorphism between the substructures they
 generate, and in that case the ordered universes line up pointwise.
 """
 
@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra, applications, fresh_offsets
+from .algebra import Algebra, applications, prefix_rows
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,9 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
     Closure position i holds the i-th value produced: the entries of `a`,
     then each round of `applications` over the values found so far, up to
     the first round that adds no new value.  A round is semi-naive
-    (Bancilhon and Ramakrishnan, 1986): per arity, `fresh_offsets` lists
-    the table offsets of the argument tuples that use a value new in the
-    previous round, and every operation of that arity gathers its
-    results from its table at those offsets.
+    (Bancilhon and Ramakrishnan, 1986) and reads whole table rows: per
+    arity, `prefix_rows` gives the rows with the values each is read at.
+    Ranks are looked up once, at the end: a value keeps its first rank.
     """
     a = tuple(a)
     if not a:
@@ -66,24 +66,27 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
         raise ValueError(f"tuple {a} has an entry outside 0..{n - 1}")
     rank = [-1] * n
     universe: list[int] = []
-    key: list[int] = []
-    produced: Sequence[int] = a
+    values = list(a)  # the value at every closure position
+    lo = 0  # where the last round's values start
     for depth in itertools.count():
         known = len(universe)
-        for v in dict.fromkeys(produced):
+        for v in dict.fromkeys(values[lo:]):
             if rank[v] < 0:
                 rank[v] = len(universe)
                 universe.append(v)
-        key.extend(map(rank.__getitem__, produced))
         if len(universe) == known:
             break
         # gathered in full before recording, so the round's base is `universe` as it stands now
-        produced = []
+        lo = len(values)
         for r in alg.arities:
-            offs = fresh_offsets(universe, known, r, n)
+            runs = prefix_rows(universe, known, r, n)
             for op in alg.ops_of_arity(r):
-                produced.extend(map(op.table.__getitem__, offs))
-    return IsoSignature(key=tuple(key), universe=tuple(universe), depth=depth)
+                table = op.table
+                for rows, read in runs:
+                    for row in rows:
+                        values += read(table[row])
+    key = operator.itemgetter(*values)(rank) if len(values) > 1 else (rank[values[0]],)
+    return IsoSignature(key=key, universe=tuple(universe), depth=depth)
 
 
 def iso_type_terms(alg: Algebra, a: Sequence[int]) -> tuple[IsoSignature, tuple[str, ...]]:

@@ -34,10 +34,10 @@ class OrbitStore:
     offset of arity k, so one flat `parent` forest covers every arity in
     the spec (codes of tuples with repeated entries stay singletons).
     Unions go by size with path halving.  A tuple's membership vector is
-    an int whose bit j says it lies in target j; only target tuples are
-    stored, and an orbit's membership is that of any of its members,
-    since orbits of unequal membership never merge.  Type, universe and
-    the per-arity type -> root index live on roots only; the index also
+    an int whose bit j says it lies in target j, in a list beside
+    `parent`; an orbit's membership is that of any of its members, since
+    orbits of unequal membership never merge.  Type, universe and the
+    per-arity type -> root index live on roots only; the index also
     enforces that a type is never carried by two distinct orbits.
     """
 
@@ -53,12 +53,11 @@ class OrbitStore:
             total += alg.size**k
         self.parent = list(range(total))
         self.size = [1] * total
-        self.membership: dict[int, int] = {}
+        self.membership = [0] * total
         for j, target in enumerate(bundle.targets):
             bit, off = 1 << j, self.offset[target.arity]
             for c in tuple_codes(target.tuples, alg.size):
-                c += off
-                self.membership[c] = self.membership.get(c, 0) | bit
+                self.membership[c + off] |= bit
         self.type: dict[int, tuple] = {}
         self.universe: dict[int, tuple[int, ...]] = {}
         self.universe_donor: dict[int, tuple[int, ...]] = {}  # debug bookkeeping
@@ -72,19 +71,15 @@ class OrbitStore:
         return self.offset[len(a)] + c
 
     def orbit(self, a: Sequence[int]) -> int:
-        """The root code of the orbit holding `a`."""
-        return self.find(self.code(a))
-
-    def find(self, c: int) -> int:
-        """The root code of the orbit holding the tuple coded c, halving the path to it."""
-        parent = self.parent
+        """The root code of the orbit holding `a`, halving the path to it."""
+        c, parent = self.code(a), self.parent
         while parent[c] != c:
             parent[c] = c = parent[parent[c]]
         return c
 
     def membership_vector(self, root: int) -> tuple[bool, ...]:
         """The membership vector of an orbit, as `preprocess.rel_type` spells it."""
-        m = self.membership.get(root, 0)
+        m = self.membership[root]
         return tuple(bool(m >> j & 1) for j in range(len(self.bundle.targets)))
 
     def members(self, root: int, arity: int) -> list[tuple[int, ...]]:
@@ -115,29 +110,27 @@ class OrbitStore:
         """Join two distinct orbits of equal membership, given by their roots.
 
         The smaller tree hangs under the larger one's root, which takes
-        over the annotation of whichever of the two was tagged; at most
-        one of them can be.
+        over the annotation of whichever was tagged.  `try_merge_orbits`
+        has found the roots distinct and of equal membership, so this
+        checks only that at most one is tagged, and runs the debug suite.
         """
-        if first == second:
-            raise AssertionError("an orbit merged with itself")
-        if self.membership.get(first, 0) != self.membership.get(second, 0):
-            raise AssertionError("orbits of unequal membership may never merge")
-        if first in self.type and second in self.type:
+        tagged = self.type
+        if first in tagged and second in tagged:
             raise AssertionError("two tagged orbits may never merge")
         size = self.size
-        big, small = (first, second) if size[first] >= size[second] else (second, first)
-        self.parent[small] = big
-        size[big] += size[small]
-        t = self.type.pop(small, None)
-        if t is not None:
-            self.type[big] = t
-            self.universe[big] = self.universe.pop(small)
-            self.universe_donor[big] = self.universe_donor.pop(small)
-            self.tagged_index[arity][t] = big
+        if size[first] < size[second]:
+            first, second = second, first
+        self.parent[second] = first
+        size[first] += size[second]
+        if second in tagged:
+            t = tagged[first] = tagged.pop(second)
+            self.universe[first] = self.universe.pop(second)
+            self.universe_donor[first] = self.universe_donor.pop(second)
+            self.tagged_index[arity][t] = first
         if self.debug:
-            self._check_orbit(big, arity)
+            self._check_orbit(first, arity)
             self._check_partition(arity)
-        return big
+        return first
 
     # -- debug invariant suite ------------------------------------------------
 
@@ -177,14 +170,14 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
     Returns False the moment a merge would join orbits with different
     membership vectors; the offending pair is left in store.conflict.
     """
-    pairs = [(x, gamma.apply(x)) for x in sorted(gamma.domain)]
+    pairs = sorted(zip(gamma.domain, gamma.image))
     n = store.alg.size
     parent, membership = store.parent, store.membership
     for k in store.spec:
         # (value of p, value of gamma p, p) for every repetition-free prefix p
         # of length k - 1, lexicographically; the last entry runs below
-        prefixes = [(0, 0, ())]
-        for _ in range(k - 1):
+        prefixes = [(0, 0, ())] if k == 1 else [(x, gx, (x,)) for x, gx in pairs]
+        for _ in range(k - 2):
             prefixes = [
                 (pa * n + x, pg * n + gx, p + (x,))
                 for pa, pg, p in prefixes
@@ -197,15 +190,16 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
             for x, gx in pairs:
                 if x in p:
                     continue
-                first = base_a + x
+                first, second = base_a + x, base_g + gx
+                if parent[first] == parent[second]:  # one tree already
+                    continue
                 while parent[first] != first:
                     parent[first] = first = parent[parent[first]]
-                second = base_g + gx
                 while parent[second] != second:
                     parent[second] = second = parent[parent[second]]
                 if first == second:
                     continue
-                if membership.get(first, 0) != membership.get(second, 0):
+                if membership[first] != membership[second]:
                     a = p + (x,)
                     store.conflict = (a, gamma.map_tuple(a))
                     return False
@@ -229,8 +223,7 @@ def _conflict_decision(
     store: OrbitStore, bundle: TargetBundle, gamma: Subisomorphism
 ) -> NotDefinable:
     a, ga = store.conflict
-    m_a = store.membership.get(store.orbit(a), 0)
-    m_ga = store.membership.get(store.orbit(ga), 0)
+    m_a, m_ga = store.membership[store.orbit(a)], store.membership[store.orbit(ga)]
     diff = m_a ^ m_ga
     j = (diff & -diff).bit_length() - 1  # the first target the two disagree on
     pat = bundle.targets[j].pattern
@@ -253,12 +246,15 @@ def merging_decide(
         return Definable(FALSE)
     store = OrbitStore(alg, bundle, debug=debug)
     universe = frozenset(range(alg.size))
+    parent, tagged = store.parent, store.type
     # (node, its pending tuples); a node is a subuniverse, entered at most once
     stack = [(universe, _coded_tuples(universe, store))]
     while stack:
         node, pending = stack[-1]
         for a, c in pending:  # resumes after the tuple that last descended
-            if store.find(c) in store.type:
+            while parent[c] != c:  # the root, as in OrbitStore.orbit
+                parent[c] = c = parent[parent[c]]
+            if c in tagged:
                 continue
             sig = iso_type(alg, a)
             type_a, universe_a = sig.key, sig.universe

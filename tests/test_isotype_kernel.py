@@ -12,7 +12,7 @@ import random
 import pytest
 
 from qfdef import gen_abelian_group, gen_random_algebra, iso_type, sg
-from qfdef.algebra import Algebra, applications, fresh_offsets
+from qfdef.algebra import Algebra, applications, prefix_rows
 
 
 def reference_iso_type(alg, a):
@@ -46,12 +46,13 @@ def reference_iso_type(alg, a):
 
 
 def kernel_algebras():
-    """Seeded random algebras with arity-0, 1, 2 and 3 symbols."""
+    """Seeded random algebras with arity-0, 1, 2, 3 and 4 symbols."""
     yield gen_random_algebra(5, signature=(("c", 0), ("u", 1), ("f", 2)), seed=11)
     yield gen_random_algebra(4, signature=(("f", 2), ("h", 3)), seed=12)
     yield gen_random_algebra(4, signature=(("c", 0), ("h", 3), ("u", 1)), seed=13)
     yield gen_random_algebra(7, signature=(("u", 1), ("v", 1)), seed=14)
     yield gen_random_algebra(6, signature=(("f", 2), ("g", 3)), seed=15)
+    yield gen_random_algebra(3, signature=(("q", 4), ("f", 2)), seed=16)
 
 
 def test_kernel_matches_reference_closure():
@@ -65,11 +66,12 @@ def test_kernel_matches_reference_closure():
                 assert len(sig.key) == sum(map(len, sig.partition))
 
 
-def test_fresh_offsets_follow_applications_order():
+def test_prefix_rows_follow_applications_order():
     rng = random.Random(7)
     n = 6
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 4):
         alg = Algebra(n, [("f", r, [0] * n**r)])
+        offsets = tuple(range(n**r))  # a table whose every entry is its own offset
         for _ in range(40):
             m = rng.randint(1, n)
             known = rng.randint(0, m - 1)
@@ -81,7 +83,8 @@ def test_fresh_offsets_follow_applications_order():
                 for l in lt:
                     off = off * n + values[l]
                 expected.append(off)
-            assert fresh_offsets(values, known, r, n) == expected, (r, values, known)
+            got = [x for rows, read in prefix_rows(values, known, r, n) for row in rows for x in read(offsets[row])]
+            assert got == expected, (r, values, known)
 
 
 def test_key_equality_is_partition_equality():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,13 +7,16 @@ from qfdef import (
     FALSE,
     Relation,
     Subisomorphism,
+    gen_abelian_group,
+    gen_random_algebra,
     iso_type,
     merging_decide,
     oracle_definable,
+    subiso_from_signatures,
     try_merge_orbits,
 )
 from qfdef.merging import OrbitStore
-from qfdef.preprocess import decompose
+from qfdef.preprocess import decompose, rel_type
 
 from conftest import random_instance
 
@@ -75,6 +79,100 @@ def test_try_merge_merges_equal_rel_types(diamond, diamond_order):
     o = store.orbit((0, 1))
     assert store.membership_vector(o) == (False, True)  # not diagonal, in the strict-order part
     assert {(0, 1), (0, 2)} <= set(store.members(o, 2))
+
+
+def _random_subisos(alg, rng, count):
+    """The identity, then up to `count` maps sg(a) -> sg(b) between tuples
+    a, b of one type in a seeded shuffle: automorphisms where a generates
+    the algebra, maps between isomorphic subuniverses elsewhere."""
+    n = alg.size
+    gammas = [Subisomorphism(range(n), range(n))]
+    tuples = [a for k in (1, 2) for a in itertools.permutations(range(n), k)]
+    rng.shuffle(tuples)
+    first_of_type = {}
+    for a in tuples:
+        sig = iso_type(alg, a)
+        b, sig_b = first_of_type.setdefault(sig.key, (a, sig))
+        if b != a and len(gammas) <= count:
+            gammas.append(subiso_from_signatures(alg, a, sig, b, sig_b))
+    return gammas
+
+
+def _target(alg, arity, spec, rng, by_type):
+    """A relation whose decomposition has arities `spec`: random tuples, or
+    whole types (a union of types, so merging never meets a conflict)."""
+    n = alg.size
+    plain = list(itertools.permutations(range(n), arity))
+    if by_type:
+        keys = {iso_type(alg, a).key for a in plain}
+        chosen = set(rng.sample(sorted(keys), max(1, len(keys) // 2)))
+        tuples = {a for a in plain if iso_type(alg, a).key in chosen}
+    else:
+        tuples = set(rng.sample(plain, max(1, len(plain) // 3)))
+    if 1 in spec and arity == 2:
+        tuples |= {(x, x) for x in rng.sample(range(n), 2)}
+    rel = Relation(arity, frozenset(tuples))
+    assert decompose(rel, n).spec == spec
+    return rel
+
+
+def _naive_merge(orbits, bundle, spec, gamma):
+    """Reference union step: orbits map each tuple to one shared set per
+    orbit; returns the first pair of unequal membership, or None."""
+    for k in spec:
+        for a in itertools.permutations(sorted(gamma.domain), k):
+            b = gamma.map_tuple(a)
+            if orbits[a] is orbits[b]:
+                continue
+            if rel_type(a, bundle) != rel_type(b, bundle):
+                return (a, b)
+            joined = orbits[a] | orbits[b]
+            for t in joined:
+                orbits[t] = joined
+    return None
+
+
+@pytest.mark.parametrize("spec, arity", [((1,), 1), ((2,), 2), ((1, 2), 2), ((3,), 3)])
+def test_try_merge_matches_naive_merge(spec, arity):
+    merged = conflicts = 0
+    for alg in (gen_abelian_group((2, 4)), gen_random_algebra(5, signature=(("f", 2),), seed=6)):
+        n = alg.size
+        for seed, by_type in itertools.product(range(4), (False, True)):
+            rng = random.Random(seed)
+            gammas = _random_subisos(alg, rng, 12)
+            assert all(g.is_valid(alg) for g in gammas)
+            bundle = decompose(_target(alg, arity, spec, rng, by_type), n)
+            store = OrbitStore(alg, bundle)
+            tuples = [a for k in spec for a in itertools.permutations(range(n), k)]
+            orbits = {a: {a} for a in tuples}
+            for gamma in gammas:
+                ok = try_merge_orbits(gamma, store)
+                conflict = _naive_merge(orbits, bundle, spec, gamma)
+                assert ok == (conflict is None)
+                assert store.conflict == conflict
+                roots = {}
+                for a in tuples:
+                    roots.setdefault(store.orbit(a), set()).add(a)
+                assert sorted(map(sorted, roots.values())) == sorted(map(sorted, {id(o): o for o in orbits.values()}.values()))
+                if not ok:
+                    conflicts += 1
+                    break
+            merged += len(tuples) - len(roots)
+            # tuples with a repeated entry stay singletons
+            repeated = [a for k in spec for a in itertools.product(range(n), repeat=k) if len(set(a)) < k]
+            assert all(store.orbit(a) == store.code(a) for a in repeated)
+    # both outcomes are reached, so the comparison bites
+    assert merged and conflicts
+
+
+def test_merge_refuses_two_tagged_orbits(diamond, diamond_order):
+    # an explicit raise, so it holds under python -O too
+    store = _store(diamond, diamond_order)
+    for a in ((0, 1), (1, 2)):
+        sig = iso_type(diamond, a)
+        store.tag_orbit(a, sig.key, sig.universe)
+    with pytest.raises(AssertionError, match="two tagged"):
+        store.merge(store.orbit((0, 1)), store.orbit((1, 2)), 2)
 
 
 def test_tag_then_merge_keeps_annotation(diamond, diamond_order):
