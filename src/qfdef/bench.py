@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, TextIO
 
 from .algebra import Algebra, Relation, extension
+from .decision import check_decision
 from .generators import (
     gen_abelian_group,
     gen_boolean_algebra,
@@ -136,10 +137,7 @@ def bench(config: BenchConfig) -> Iterator[BenchRecord]:
                 # verification is outside the timed region
                 if not decision.is_definable:
                     raise AssertionError("a formula-extension target must be definable")
-                if decision.formula is not None:
-                    got = extension(alg, decision.formula, config.target_arity)
-                    if got.tuples != rel.tuples:
-                        raise AssertionError("returned formula does not define the target")
+                check_decision(alg, rel, decision)
                 outcomes["definable" if decision.is_definable else "not_definable"] += 1
                 if config.time_budget is not None and elapsed > config.time_budget:
                     timeouts += 1

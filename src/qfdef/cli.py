@@ -193,13 +193,9 @@ def _cmd_bench(args) -> int:
     return EXIT_DEFINABLE
 
 
-def _allow_global_flags(p: argparse.ArgumentParser) -> None:
-    """Let the global flags also appear after the subcommand."""
+def _allow_seed(p: argparse.ArgumentParser) -> None:
+    """Let the global `--seed` also appear after the subcommands that read it."""
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    p.add_argument(
-        "--time-budget", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide quantifier-free definability of relations over finite algebras.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for input generation")
-    parser.add_argument("--time-budget", type=float, default=None, help="per-run budget, seconds")
-    parser.add_argument("--json", action="store_true", help="also emit machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decide", help="decide definability of a relation")
@@ -219,26 +213,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="log processing events to stderr")
     p.add_argument("--check-invariants", action="store_true", help="run debug assertion suite")
     p.add_argument("--emit-formula", default=None, help="write the defining formula to this file")
-    _allow_global_flags(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("isotype", help="canonical type of a tuple")
     p.add_argument("--algebra", required=True)
     p.add_argument("--tuple", required=True, help="comma-separated element names or indices")
     p.add_argument("--trace", action="store_true", help="include the evaluated term strings")
-    _allow_global_flags(p)
     p.set_defaults(func=_cmd_isotype)
 
     p = sub.add_parser("decompose", help="pattern decomposition of a relation")
     p.add_argument("--relation", required=True)
-    _allow_global_flags(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("oracle", help="brute-force definability (small inputs)")
     p.add_argument("--algebra", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate-map bound")
-    _allow_global_flags(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate inputs")
@@ -264,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--extension-out", default=None, help="also save the formula's extension")
     for sp in gensub.choices.values():
-        _allow_global_flags(sp)
+        _allow_seed(sp)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="benchmark sweep with CSV output")
@@ -274,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, default=2)
     p.add_argument("--strategies", default="merging,splitting")
     p.add_argument("--csv", default=None, help="CSV output path (default: stdout)")
-    _allow_global_flags(p)
+    p.add_argument("--time-budget", type=float, default=None, help="per-run budget, seconds")
+    p.add_argument("--json", action="store_true", help="also emit machine-readable output")
+    _allow_seed(p)
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -283,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the gen subcommand takes its seed from the global flag
-    if not hasattr(args, "seed"):
-        args.seed = 0
     try:
         return args.func(args)
     except BudgetExceededError as e:

@@ -28,8 +28,9 @@ Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's
 rows is rebased onto a kernel over just its own rows, its variable and
 witness columns gathered at those rows; its successors inherit that
-smaller space.  Rows become tuples only in the terminal block handed to
-`extract_counterexample` and in the debug checks.
+smaller space.  Rows become tuples only in the debug checks and in
+`extract_counterexample`, which reads the terminal block's first row in
+the target and its first row outside it.
 
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
@@ -79,14 +80,12 @@ COMPACT_SHARE = 1 / 8
 class Block:
     """One block of the refinement, with its term bookkeeping.
 
-    `tuples` are the block's members.  Inside the decider they are a row
-    mask over the `TermColumns` space the block lives in (see
-    `TermColumns`): the top bit of lane i is set when row i is a member,
-    so `tuples.bit_count()` is the block's size.  That space is the
-    target arity's shared kernel (A**k, or its repetition-free rows from
-    arity 3 on), or, once an ancestor block was compacted, just that
-    ancestor's rows.  The public single-step form of `process_mixed_block`
-    takes and returns a set of tuples instead.
+    `tuples` are the block's members as a row mask over the `TermColumns`
+    space the block lives in (see `TermColumns`): the top bit of lane i
+    is set when row i is a member, so `tuples.bit_count()` is the block's
+    size.  That space is the target arity's shared kernel (A**k, or its
+    repetition-free rows from arity 3 on), or, once an ancestor block was
+    compacted, just that ancestor's rows.
     `witnesses` are terms that pairwise disagree on every member tuple;
     `new_witnesses` are the witnesses added since the last term refill
     and drive the generation of the next term layer; `terms_to_process`
@@ -99,7 +98,7 @@ class Block:
 
     def __init__(
         self,
-        tuples: int | frozenset[tuple[int, ...]],
+        tuples: int,
         witnesses: tuple[Term, ...],
         new_witnesses: tuple[Term, ...],
         terms_to_process: list[Term],
@@ -158,53 +157,28 @@ def generate_terms(
 
 
 def process_mixed_block(
-    alg: Algebra,
-    block: Block,
-    columns: TermColumns | None = None,
-    stats: SplitStats | None = None,
+    alg: Algebra, block: Block, columns: TermColumns, stats: SplitStats
 ) -> list[Block]:
-    """One refinement step on a mixed block.
+    """One refinement step on a mixed block whose rows live in `columns`.
 
     With an empty term queue the block is returned with the queue refilled
     from its witnesses and the new-witness list cleared.  Otherwise the
     first pending term is evaluated and the block is partitioned by which
-    witness it agrees with; tuples agreeing with no witness form the
+    witness it agrees with; rows agreeing with no witness form the
     complement block, which adopts the term as a new witness.  A lone
     successor keeps the parent's formula unchanged.
-
-    With `columns`, the block's tuples are a row mask over its space.
-    Without, they are a set of tuples: the step numbers them in sorted
-    order, runs on a kernel over just those tuples and hands the
-    successors back as tuple sets.
     """
     if block.is_terminal:
         raise ValueError("terminal block cannot be processed")
     if not block.terms_to_process:
         block.terms_to_process = generate_terms(alg, block.witnesses, block.new_witnesses)
         block.new_witnesses = ()
-        if stats:
-            stats.refills += 1
-            stats.max_depth = max(stats.max_depth, block.depth())
+        stats.refills += 1
+        stats.max_depth = max(stats.max_depth, block.depth())
         return [block]
-    if columns is not None:
-        return _split(columns, block, stats)
-    columns = TermColumns(alg, [list(c) for c in zip(*sorted(block.tuples))])
-    tuples, block.tuples = block.tuples, columns.full
-    try:
-        successors = _split(columns, block, stats)
-    finally:
-        block.tuples = tuples
-    for s in successors:
-        s.tuples = frozenset(columns.tuples(columns.rows(s.tuples)))
-    return successors
-
-
-def _split(columns: TermColumns, block: Block, stats: SplitStats | None) -> list[Block]:
-    """Split a row-mask block by the first pending term; see `process_mixed_block`."""
     t = block.terms_to_process.pop(0)
     block.step += 1
-    if stats:
-        stats.steps += 1
+    stats.steps += 1
     remaining = block.terms_to_process
     agree = columns.agree
     rest = block.tuples
@@ -240,23 +214,24 @@ def _split(columns: TermColumns, block: Block, stats: SplitStats | None) -> list
         )
     if len(successors) == 1:
         successors[0].literals = block.literals
-    if stats:
-        stats.blocks_created += len(successors)
+    stats.blocks_created += len(successors)
     return successors
 
 
 def extract_counterexample(
-    alg: Algebra, block: Block, target: frozenset[tuple[int, ...]]
+    block: Block, columns: TermColumns, member: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], Subisomorphism]:
-    """Witness pair and connecting map from a terminal mixed block whose
-    tuples are a set of tuples, the form the decider hands out."""
+    """Witness pair and connecting map from a terminal mixed block: its
+    first row in the membership mask `member` and its first row outside.
+    Rows ascend lexicographically, so these are the least such tuples."""
     if not block.is_terminal:
         raise ValueError("block still has terms to try; not terminal")
-    inside = sorted(block.tuples & target)
-    outside = sorted(block.tuples - target)
+    inside, outside = block.tuples & member, block.tuples & ~member
     if not inside or not outside:
         raise ValueError("block is pure; no counterexample here")
-    a, b = inside[0], outside[0]
+    alg, w = columns.alg, columns.width
+    # a mask's lowest set bit is the top bit of its first row's lane
+    a, b = columns.tuples([((m & -m).bit_length() - 1) // w for m in (inside, outside)])
     gamma = subiso_from_signatures(alg, a, iso_type(alg, a), b, iso_type(alg, b))
     if gamma is None:
         raise AssertionError("tuples of a terminal block must share their type")
@@ -383,9 +358,9 @@ def _single_target(
     """Run the block loop on one repetition-free target from `base`, the
     `_base_kernel` of arity k, which all targets of arity k share.
 
-    Returns (True, formula) or (False, terminal_block), the terminal block
-    with its rows turned back into a set of tuples.  Each pending block
-    travels with its kernel and that kernel's membership mask.
+    Returns (True, formula) or (False, (a, b, gamma)), the counterexample
+    of the terminal mixed block.  Each pending block travels with its
+    kernel and that kernel's membership mask.
     """
     columns, distinct, membership = base
     alg, member = columns.alg, membership(target)
@@ -411,8 +386,7 @@ def _single_target(
                 trace(f"terminal mixed block of {b.tuples.bit_count()} tuples")
             if checker:
                 checker.check_terminal(b, columns)
-            b.tuples = frozenset(_tuples(b, columns))
-            return False, b
+            return False, extract_counterexample(b, columns, member)
         if b.tuples.bit_count() < COMPACT_SHARE * columns.length:
             columns, member = _compact(columns, b, target)
         successors = process_mixed_block(alg, b, columns, stats)
@@ -469,7 +443,7 @@ def splitting_decide(
             trace=trace,
         )
         if not ok:
-            a, b, gamma = extract_counterexample(alg, payload, target.tuples)
+            a, b, gamma = payload
             return NotDefinable(expand(target.pattern, a), expand(target.pattern, b), gamma)
         parts.append((target.pattern, recombine(target.pattern, payload, rel.arity)))
     return Definable(assemble(parts, rel.arity))

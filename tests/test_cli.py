@@ -199,6 +199,24 @@ def test_global_flags_after_subcommand(capsys, tmp_path):
     assert load_algebra(str(out_a)).op("f").table == load_algebra(str(out_b)).op("f").table
 
 
+def test_bench_takes_time_budget_and_json(capsys):
+    argv = ["bench", "--family", "random", "--sizes", "3", "--samples", "1", "--strategies", "merging"]
+    code, out = run(capsys, [*argv, "--time-budget", "0", "--json", "--seed", "2"])
+    assert code == 0
+    (record,) = json.loads(out.splitlines()[-1])
+    assert record["timeouts"] == 1 and record["samples"] == 0
+
+
+def test_decide_rejects_bench_only_flags(diamond_files):
+    alg, order, _ = diamond_files
+    argv = ["decide", "--strategy", "merging", "--algebra", alg, "--relation", order]
+    for flags in (["--time-budget", "1"], ["--json"], ["--seed", "1"]):
+        proc = _run_cli([*argv, *flags])
+        assert proc.returncode == 2, flags
+        assert "Traceback" not in proc.stderr
+    assert _run_cli(["--time-budget", "1", *argv]).returncode == 2
+
+
 def test_decide_trace_and_invariants(capsys, diamond_files):
     alg, order, _ = diamond_files
     code = main(

@@ -7,8 +7,10 @@ from qfdef import (
     FALSE,
     TRUE,
     Algebra,
+    And,
     App,
     Eq,
+    Not,
     Relation,
     SplitStats,
     Var,
@@ -18,6 +20,7 @@ from qfdef import (
     gen_boolean_algebra,
     gen_random_formula,
     generate_terms,
+    iso_type,
     merging_decide,
     oracle_definable,
     process_mixed_block,
@@ -35,16 +38,26 @@ def z2():
     return Algebra(2, [("add", 2, [0, 1, 1, 0])])
 
 
-def initial_block(k, tuples):
-    return Block(frozenset(tuples), (), (), [Var(i) for i in range(k)], (), 0)
+def kernel(alg, tuples):
+    """A kernel over the given tuples, numbered in sorted order."""
+    return TermColumns(alg, [list(c) for c in zip(*sorted(tuples))])
+
+
+def tuples_of(columns, mask):
+    return set(columns.tuples(columns.rows(mask)))
+
+
+def initial_block(columns, k):
+    return Block(columns.full, (), (), [Var(i) for i in range(k)], (), 0)
 
 
 X0, X1 = Var(0), Var(1)
 
 
 def test_first_pop_creates_single_witness_block():
-    b = initial_block(2, [(0, 1), (1, 0)])
-    succ = process_mixed_block(z2(), b)
+    columns = kernel(z2(), [(0, 1), (1, 0)])
+    stats = SplitStats()
+    succ = process_mixed_block(z2(), initial_block(columns, 2), columns, stats)
     assert len(succ) == 1
     s = succ[0]
     assert s.witnesses == (X0,)
@@ -52,61 +65,63 @@ def test_first_pop_creates_single_witness_block():
     assert s.terms_to_process == [X1]
     assert s.formula == TRUE  # lone successor keeps the parent formula
     assert s.step == 1
+    assert s.tuples == columns.full
+    assert (stats.steps, stats.blocks_created) == (1, 1)
 
 
 def test_second_pop_disagrees_with_first_witness():
-    b = initial_block(2, [(0, 1), (1, 0)])
-    (b1,) = process_mixed_block(z2(), b)
-    (b2,) = process_mixed_block(z2(), b1)
+    columns = kernel(z2(), [(0, 1), (1, 0)])
+    stats = SplitStats()
+    (b1,) = process_mixed_block(z2(), initial_block(columns, 2), columns, stats)
+    (b2,) = process_mixed_block(z2(), b1, columns, stats)
     # x1 differs from x0 on both tuples, so only the complement block arises
     assert b2.witnesses == (X0, X1)
     assert b2.new_witnesses == (X0, X1)
     assert b2.terms_to_process == []
     assert b2.formula == TRUE
-    assert b2.tuples == frozenset({(0, 1), (1, 0)})
+    assert tuples_of(columns, b2.tuples) == {(0, 1), (1, 0)}
 
 
 def test_refill_generates_next_term_layer():
     alg = z2()
-    b = Block(frozenset({(0, 1), (1, 0)}), (X0,), (X0,), [], (), 3)
-    succ = process_mixed_block(alg, b)
+    columns = kernel(alg, [(0, 1), (1, 0)])
+    stats = SplitStats()
+    b = Block(columns.full, (X0,), (X0,), [], (), 3)
+    succ = process_mixed_block(alg, b, columns, stats)
     assert succ == [b]
     assert b.terms_to_process == [App("add", (X0, X0))]
     assert b.new_witnesses == ()
     assert b.step == 3  # refill pops nothing
+    assert b.tuples == columns.full
+    assert (stats.refills, stats.steps, stats.max_depth) == (1, 0, 1)
 
 
 def test_split_produces_eq_and_complement_blocks(diamond):
     # on the diamond, meet(x0,x1) agrees with x0 exactly on the order pairs
-    b = Block(
-        frozenset(itertools.permutations(range(4), 2)),
-        (X0, X1),
-        (),
-        [App("meet", (X0, X1))],
-        (),
-        0,
-    )
-    succ = process_mixed_block(diamond, b)
+    columns = kernel(diamond, itertools.permutations(range(4), 2))
     t = App("meet", (X0, X1))
-    assert [s.tuples for s in succ] == [
-        frozenset({(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}),  # meet = x0: below
-        frozenset({(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)}),  # meet = x1: above
-        frozenset({(1, 2), (2, 1)}),  # incomparable pairs
+    b = Block(columns.full, (X0, X1), (), [t], (), 0)
+    stats = SplitStats()
+    succ = process_mixed_block(diamond, b, columns, stats)
+    assert [tuples_of(columns, s.tuples) for s in succ] == [
+        {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)},  # meet = x0: below
+        {(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)},  # meet = x1: above
+        {(1, 2), (2, 1)},  # incomparable pairs
     ]
     assert succ[0].formula == Eq(t, X0)
     assert succ[1].formula == Eq(t, X1)
     comp = succ[2]
     assert comp.witnesses == (X0, X1, t)
     assert comp.new_witnesses == (t,)
-    from qfdef import And, Not
-
     assert comp.formula == And((Not(Eq(t, X0)), Not(Eq(t, X1))))
+    assert (stats.steps, stats.blocks_created) == (1, 3)
 
 
 def test_terminal_block_rejected():
-    b = Block(frozenset({(0, 1)}), (X0,), (), [], (), 0)
+    columns = kernel(z2(), [(0, 1)])
+    b = Block(columns.full, (X0,), (), [], (), 0)
     with pytest.raises(ValueError, match="terminal"):
-        process_mixed_block(z2(), b)
+        process_mixed_block(z2(), b, columns, SplitStats())
 
 
 def test_generate_terms_order():
@@ -174,17 +189,40 @@ def test_empty_relation(diamond):
 
 def test_extract_counterexample_unit(diamond):
     # a terminal mixed block built by hand from two isomorphic pairs
-    block = Block(frozenset({(1, 3), (2, 3)}), (X0, X1), (), [], (), 5)
-    target = frozenset({(1, 3)})
-    a, b, gamma = extract_counterexample(diamond, block, target)
+    columns = kernel(diamond, [(1, 3), (2, 3)])
+    block = Block(columns.full, (X0, X1), (), [], (), 5)
+    member = columns.members({(1, 3)})
+    a, b, gamma = extract_counterexample(block, columns, member)
     assert a == (1, 3) and b == (2, 3)
     assert gamma.map_tuple(a) == b
     assert gamma.is_valid(diamond)
     with pytest.raises(ValueError, match="pure"):
-        extract_counterexample(diamond, block, frozenset({(1, 3), (2, 3)}))
-    live = Block(frozenset({(1, 3), (2, 3)}), (X0,), (), [X1], (), 0)
+        extract_counterexample(block, columns, columns.full)
+    with pytest.raises(ValueError, match="pure"):
+        extract_counterexample(block, columns, 0)
+    live = Block(columns.full, (X0,), (), [X1], (), 0)
     with pytest.raises(ValueError, match="terminal"):
-        extract_counterexample(diamond, live, target)
+        extract_counterexample(live, columns, member)
+
+
+def test_extract_counterexample_reads_the_least_rows_of_a_restricted_kernel():
+    # a terminal block holds tuples of one type: take a largest type of
+    # boolean-16 triples (36 rows), keep every other row, split it both ways
+    alg = gen_boolean_algebra(4)
+    columns, _, _ = _base_kernel(alg, 3)
+    by_type: dict = {}
+    for row, a in enumerate(columns.tuples(range(columns.length))):
+        by_type.setdefault(iso_type(alg, a).key, []).append(row)
+    rows = max(by_type.values(), key=len)[1::2]
+    sub = columns.restrict(rows, [X0])
+    space = sub.tuples(range(sub.length))
+    assert space == sorted(space) and len(space) >= 6
+    target = frozenset(space[1::3])
+    block = Block(sub.full, (X0, X1, Var(2)), (), [], (), 0)
+    for inside in (target, frozenset(space) - target):
+        a, b, gamma = extract_counterexample(block, sub, sub.members(inside))
+        assert a == min(inside) and b == min(set(space) - inside)
+        assert gamma.map_tuple(a) == b and gamma.is_valid(alg)
 
 
 def test_agreement_with_oracle():
