@@ -21,6 +21,8 @@ from qfdef import (
     splitting_decide,
 )
 
+from qfdef.algebra import TermColumns
+
 from conftest import plant_negative
 
 
@@ -62,3 +64,17 @@ def test_certificates_of_arity_3_planted_negatives(alg):
             d = decide(alg, planted)
             assert not d.is_definable, decide.__name__
             check_decision(alg, planted, d)
+
+
+def test_formula_check_does_not_trust_the_column_kernel(monkeypatch):
+    # a kernel whose agree() says every two terms agree everywhere must not
+    # change what check_decision accepts
+    for alg, k in ((gen_boolean_algebra(2), 2), (gen_abelian_group((2, 4, 4)), 3)):
+        rel = extension(alg, gen_random_formula(alg, k, seed=1), k)
+        right = splitting_decide(alg, rel)
+        wrong = Definable(Eq(Var(0), Var(k - 1)))
+        monkeypatch.setattr(TermColumns, "agree", lambda self, t, s: self.full)
+        check_decision(alg, rel, right)
+        with pytest.raises(ValueError, match="extension"):
+            check_decision(alg, rel, wrong)
+        monkeypatch.undo()
