@@ -468,8 +468,19 @@ def pack(values: Iterable[int], width: int) -> int:
 
     Every value must be below 2**width; `width` is 8, 16 or 32.
     """
-    if width == 8:
-        return int.from_bytes(bytearray(values), "little")
+    return int.from_bytes(bytearray(values) if width == 8 else _wide_lanes(values, width), "little")
+
+
+def unpack(packed: int, width: int, length: int) -> Sequence[int]:
+    """The `length` lane values of a `pack`ed int: `bytes` at 8-bit lanes,
+    an `array` at 16- and 32-bit lanes."""
+    data = packed.to_bytes(width // 8 * length, "little")
+    return data if width == 8 else _wide_lanes(data, width)
+
+
+def _wide_lanes(values: Iterable[int] | bytes, width: int):
+    """16- or 32-bit lanes from values, or from the little-endian bytes of
+    a packed int: on big-endian hosts one byteswap turns either into the other."""
     # imported here: only universes over 256 elements need it, and loading
     # it at module import raised the benchmark workers' peak RSS by ~0.1 MB
     from array import array
@@ -477,72 +488,72 @@ def pack(values: Iterable[int], width: int) -> int:
     lanes = array("H" if width == 16 else "I", values)
     if sys.byteorder == "big":
         lanes.byteswap()
-    return int.from_bytes(lanes, "little")
+    return lanes
 
 
 class TermColumns:
     """Term values as columns over a fixed sequence of k-tuples, the rows.
     A kernel is built from its k variable columns: row i is entry i of
-    each, `column(Var(j))` is the j-th of them, and `tuples` zips them
-    only where a row is wanted as a tuple.
+    each, and `tuples` zips them only where a row is wanted as a tuple.
 
-    `column(t)[i]` is `eval_term(alg, t, a)` for the tuple a of row i.  Each
-    distinct term is evaluated once, over all rows at a time, and
-    memoised: an application indexes its operation table straight from
-    its argument columns (`tab[x]` for unary operations, `tab[x*n + y]`
-    for binary ones, the row-major index for higher arities), so there is
-    no per-tuple recursion and no `Operation.value` call.
+    A column is one int, a term's value at row i in lane i of `width`
+    bits (`lane_width(n)`, `pack`): `unpack(column(t), width, length)[i]`
+    is `eval_term(alg, t, a)` for the tuple a of row i.  Each distinct
+    term is evaluated once, over all rows at a time, and memoised: an
+    application indexes its operation table straight from its argument
+    columns' lane values (one `bytes.translate` for a unary operation on
+    byte lanes, `tab[x*n + y]` for binary ones, the row-major index for
+    higher arities), with no per-tuple recursion.
 
-    A set of rows is a mask: an int with the top bit of lane i set for
-    row i, in lanes of `width` bits (`lane_width(n)`).  `packed(t)` holds
-    t's column in the same lanes, so `agree(t, s)`, the mask of rows where
-    two terms agree, is one xor and a zero-lane test over all rows at
-    once.  The lane constants are built on first use, so kernels that
-    only evaluate columns (`extension`'s chunks) never pay for them.
+    A set of rows is a mask in the same lanes, the top bit of lane i set
+    for row i.  `agree(t, s)`, the mask of rows where two terms agree, is
+    one xor of their columns and a zero-lane test over all rows at once;
+    `holds(phi)` combines such masks.  `full` is the mask of every row.
     """
 
-    def __init__(self, alg: Algebra, variables: Sequence[list[int]]):
+    def __init__(self, alg: Algebra, variables: Sequence[Sequence[int]]):
         self.alg = alg
-        self.variables = variables
+        self.arity = len(variables)
         self.length = len(variables[0]) if variables else 0
         self.width = lane_width(alg.size)
-        self._columns: dict[Term, list[int]] = {Var(j): col for j, col in enumerate(variables)}
-        self._packed: dict[Term, int] = {}
+        self._columns: dict[Term, int] = {Var(j): pack(col, self.width) for j, col in enumerate(variables)}
         self._table_rows: dict[str, list[tuple[int, ...]]] = {}
-        self._lanes: tuple[int, int] | None = None
+        w = self.width
+        self.full = int.from_bytes((1 << w - 1).to_bytes(w // 8, "little") * self.length, "little")
+        self._low = self.full - (self.full >> w - 1)  # every lane's low `width - 1` bits
 
-    def column(self, t: Term) -> list[int]:
+    def column(self, t: Term) -> int:
         col = self._columns.get(t)
         if col is None:
             col = self._columns[t] = self._evaluate(t)
         return col
 
-    def packed(self, t: Term) -> int:
-        p = self._packed.get(t)
-        if p is None:
-            p = self._packed[t] = pack(self.column(t), self.width)
-        return p
-
-    def _lane_masks(self) -> tuple[int, int]:
-        """(low, high): every lane's low `width - 1` bits, and every lane's top bit."""
-        if self._lanes is None:
-            w = self.width
-            high = int.from_bytes((1 << w - 1).to_bytes(w // 8, "little") * self.length, "little")
-            self._lanes = (high - (high >> w - 1), high)
-        return self._lanes
-
-    @property
-    def full(self) -> int:
-        """The mask of every row."""
-        return self._lane_masks()[1]
+    def _values(self, t: Term) -> Sequence[int]:
+        return unpack(self.column(t), self.width, self.length)
 
     def agree(self, t: Term, s: Term) -> int:
         """The mask of the rows at which t and s take the same value."""
-        low, high = self._lane_masks()
-        x = self.packed(t) ^ self.packed(s)
+        low = self._low
+        x = self.column(t) ^ self.column(s)
         # a lane's top bit survives iff the lane is zero: adding `low` carries
         # into the top bit from any set low bit, and `x` supplies the top bit itself
-        return ~(((x & low) + low) | x | low) & high
+        return ~(((x & low) + low) | x | low) & self.full
+
+    def holds(self, phi: QfFormula) -> int:
+        """The mask of the rows at which `phi` holds."""
+        if isinstance(phi, TrueFormula):
+            return self.full
+        if isinstance(phi, FalseFormula):
+            return 0
+        if isinstance(phi, Eq):
+            return self.agree(phi.lhs, phi.rhs)
+        if isinstance(phi, Not):
+            return self.full ^ self.holds(phi.inner)
+        if isinstance(phi, And):
+            return functools.reduce(operator.and_, map(self.holds, phi.children))
+        if isinstance(phi, Or):
+            return functools.reduce(operator.or_, map(self.holds, phi.children))
+        raise TypeError(f"not a formula: {phi!r}")
 
     def mask(self, rows: Iterable[int]) -> int:
         """The mask of the given rows: one byte written per row."""
@@ -555,7 +566,8 @@ class TermColumns:
 
     def members(self, target: Collection[tuple[int, ...]]) -> int:
         """The mask of the rows in `target`: one C-level lookup per row."""
-        return pack(map(target.__contains__, zip(*self.variables)), self.width) << self.width - 1
+        rows = zip(*map(self._values, map(Var, range(self.arity))))
+        return pack(map(target.__contains__, rows), self.width) << self.width - 1
 
     def rows(self, mask: int) -> list[int]:
         """The rows of a mask, ascending."""
@@ -565,65 +577,44 @@ class TermColumns:
 
     def tuples(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
         """The tuples of the given rows."""
-        return list(zip(*(map(c.__getitem__, rows) for c in self.variables)))
+        return list(zip(*(map(self._values(Var(j)).__getitem__, rows) for j in range(self.arity))))
 
     def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
         """A kernel over the given rows, seeded with the columns of the
         variables and of `terms` gathered at those rows."""
-        sub = TermColumns(self.alg, [list(map(c.__getitem__, rows)) for c in self.variables])
+        sub = TermColumns(self.alg, [list(map(self._values(Var(j)).__getitem__, rows)) for j in range(self.arity)])
         sub._table_rows = self._table_rows
         for t in terms:
             if t not in sub._columns:
-                sub._columns[t] = list(map(self.column(t).__getitem__, rows))
+                sub._columns[t] = pack(map(self._values(t).__getitem__, rows), self.width)
         return sub
 
-    def _evaluate(self, t: Term) -> list[int]:
+    def _evaluate(self, t: Term) -> int:
         if isinstance(t, Var):
-            raise ValueError(f"variable x{t.index} out of range for a tuple of length {len(self.variables)}")
+            raise ValueError(f"variable x{t.index} out of range for a tuple of length {self.arity}")
         op = self.alg.op(t.symbol)
         tab = op.table
         if len(t.args) != op.arity:
             if not t.args and t.symbol in self.alg.constants:
-                return [tab[0]] * self.length
+                return pack(itertools.repeat(tab[0], self.length), self.width)
             raise ValueError(
                 f"symbol {t.symbol!r} applied to {len(t.args)} arguments, arity is {op.arity}"
             )
-        cols = [self.column(s) for s in t.args]
-        if op.arity == 1:
-            return [tab[x] for x in cols[0]]
+        cols = [self._values(s) for s in t.args]
+        if op.arity == 1 and self.width == 8:
+            # values are below n <= 256, so the table's padding is never read
+            return int.from_bytes(cols[0].translate(bytes(tab).ljust(256, b"\0")), "little")
         n = self.alg.size
         if op.arity == 2:
             # tab[x*n + y] as rows[x][y]: one subscript fewer per value
             rows = self._table_rows.get(op.symbol)
             if rows is None:
                 rows = self._table_rows[op.symbol] = [tab[x * n : x * n + n] for x in range(n)]
-            return [rows[x][y] for x, y in zip(*cols)]
-        index = cols[0]
+            return pack([rows[x][y] for x, y in zip(*cols)], self.width)
+        index = cols[0]  # the row-major index, which for a unary operation is its argument
         for c in cols[1:]:
             index = [i * n + x for i, x in zip(index, c)]
-        return [tab[i] for i in index]
-
-    def truth(self, phi: QfFormula) -> list[bool]:
-        """Truth value of `phi` at every row, from the term columns."""
-        if isinstance(phi, TrueFormula):
-            return [True] * self.length
-        if isinstance(phi, FalseFormula):
-            return [False] * self.length
-        if isinstance(phi, Eq):
-            return [x == y for x, y in zip(self.column(phi.lhs), self.column(phi.rhs))]
-        if isinstance(phi, Not):
-            return [not x for x in self.truth(phi.inner)]
-        if isinstance(phi, And):
-            out = self.truth(phi.children[0])
-            for c in phi.children[1:]:
-                out = [x and y for x, y in zip(out, self.truth(c))]
-            return out
-        if isinstance(phi, Or):
-            out = self.truth(phi.children[0])
-            for c in phi.children[1:]:
-                out = [x or y for x, y in zip(out, self.truth(c))]
-            return out
-        raise TypeError(f"not a formula: {phi!r}")
+        return pack([tab[i] for i in index], self.width)
 
 
 # rows per kernel in `extension`: whole-space columns of every subterm
@@ -641,8 +632,8 @@ def extension(alg: Algebra, phi: QfFormula, k: int) -> Relation:
     product = itertools.product(range(alg.size), repeat=k)
     hits: list[tuple[int, ...]] = []
     while chunk := list(itertools.islice(product, EXTENSION_CHUNK)):
-        kernel = TermColumns(alg, [list(c) for c in zip(*chunk)])
-        hits.extend(itertools.compress(chunk, kernel.truth(phi)))
+        kernel = TermColumns(alg, list(zip(*chunk)))
+        hits.extend(map(chunk.__getitem__, kernel.rows(kernel.holds(phi))))
     return Relation(k, frozenset(hits))
 
 

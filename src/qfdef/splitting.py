@@ -13,16 +13,18 @@ between their generated subuniverses separates the target.
 This is partition refinement over an indexed space (Paige and Tarjan,
 "Three partition refinement algorithms", 1987).  A `TermColumns` kernel
 is its k variable columns, and it evaluates each further term once into
-a column over all its rows.  All targets of arity k in a decision start
-on one kernel, whose rows follow the base-n codes `merging.OrbitStore`
-numbers tuples by: up to arity 2 all of A**k (`product_columns`, row r
-is code r), from arity 3 on just the repetition-free tuples
-(`permutation_columns`).  A block is a row mask, an int with one flag
-per row in the kernel's lanes; the initial block is the rows where no
-two variables agree, and target membership is one such mask.  A split
-is bit arithmetic over whole masks: the rows where the new term agrees
-with a witness are `rest & agree(t, s)`, one xor of packed columns and
-a zero-lane test, and they leave the rest by `rest ^= eq`.
+a column over all its rows: one int holding the term's value at row i in
+lane i, a byte per row up to n = 256.  All targets of arity k in a
+decision start on one kernel, whose rows follow the base-n codes
+`merging.OrbitStore` numbers tuples by: up to arity 2 all of A**k
+(`product_columns`, row r is code r), from arity 3 on just the
+repetition-free tuples (`permutation_columns`).  A block is a row mask,
+an int with one flag per row in the kernel's lanes; the initial block is
+the rows where no two variables agree, and target membership is one such
+mask.  A split is bit arithmetic over whole masks: the rows where the
+new term agrees with a witness are `rest & agree(t, s)`, one xor of the
+two columns and a zero-lane test, and they leave the rest by
+`rest ^= eq`.
 
 Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's

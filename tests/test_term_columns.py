@@ -1,12 +1,18 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from qfdef import (
+    FALSE,
+    TRUE,
     Algebra,
+    And,
     App,
     Eq,
+    Not,
+    Or,
     Relation,
     Var,
     check_decision,
@@ -25,6 +31,7 @@ from qfdef.algebra import (
     permutation_columns,
     product_columns,
     tuple_codes,
+    unpack,
 )
 
 SIGNATURE = (("u", 1), ("f", 2), ("g", 3))
@@ -33,6 +40,11 @@ SIGNATURE = (("u", 1), ("f", 2), ("g", 3))
 def transposed(tuples, k):
     """The k variable columns of a list of k-tuples."""
     return [[a[j] for a in tuples] for j in range(k)]
+
+
+def values(kernel, t):
+    """t's column on `kernel` as a list of its lane values."""
+    return list(unpack(kernel.column(t), kernel.width, kernel.length))
 
 
 def with_constant(alg: Algebra, value: int) -> Algebra:
@@ -64,18 +76,18 @@ def test_column_matches_eval_term(seed):
     terms += [App("e", ()), App("e", (Var(0),)), App("f", (App("e", ()), Var(0)))]
     for t in terms:
         col = kernel.column(t)
-        assert len(col) == len(space)
-        assert col == [eval_term(alg, t, a) for a in space], t
+        assert values(kernel, t) == [eval_term(alg, t, a) for a in space], t
         assert kernel.column(t) is col  # memoised
 
 
-def test_truth_matches_eval_formula():
+def test_holds_matches_eval_formula():
     for seed in range(6):
         alg = gen_random_algebra(4, SIGNATURE, seed=seed)
         space = list(itertools.product(range(4), repeat=2))
         kernel = TermColumns(alg, product_columns(4, 2))
-        phi = gen_random_formula(alg, 2, seed=seed)
-        assert kernel.truth(phi) == [eval_formula(alg, phi, a) for a in space]
+        phi, psi = gen_random_formula(alg, 2, seed=seed), gen_random_formula(alg, 2, seed=seed + 6)
+        for f in (phi, TRUE, FALSE, Not(phi), And((phi, psi, Not(psi))), Or((psi, Not(phi), FALSE))):
+            assert kernel.rows(kernel.holds(f)) == [i for i, a in enumerate(space) if eval_formula(alg, f, a)], f
 
 
 def test_arity_mismatch_raises_like_eval_term():
@@ -99,14 +111,15 @@ def test_arity_mismatch_raises_like_eval_term():
 def test_bare_constant_column_is_full_length():
     alg = Algebra(3, [("f", 2, [0] * 9), ("e", 0, [2])])
     kernel = TermColumns(alg, [[0, 1, 2]])
-    assert kernel.column(App("e", ())) == [2, 2, 2]
+    assert values(kernel, App("e", ())) == [2, 2, 2]
     assert extension(alg, Eq(App("e", ()), Var(0)), 1).tuples == frozenset({(2,)})
 
 
 def test_empty_space_gives_empty_columns():
     kernel = TermColumns(gen_random_algebra(2, SIGNATURE, seed=0), [[], []])
-    assert kernel.column(App("f", (Var(0), Var(1)))) == []
-    assert kernel.truth(Eq(Var(0), Var(1))) == []
+    assert values(kernel, App("f", (Var(0), Var(1)))) == []
+    assert values(kernel, App("u", (Var(0),))) == []
+    assert kernel.holds(Eq(Var(0), Var(1))) == kernel.holds(TRUE) == 0
 
 
 def test_extension_across_chunk_boundaries():
@@ -123,24 +136,47 @@ def test_extension_across_chunk_boundaries():
 def test_masks_at_lane_width_boundaries(n):
     alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("h", 1, [x // 2 for x in range(n)])])
     # both ends of the universe and both sides of every power of two
-    values = sorted({v for p in range(17) for v in (2**p - 1, 2**p, 2**p + 1) if v < n} | {n - 2, n - 1})
-    space = list(itertools.product(values, repeat=2))
+    points = sorted({v for p in range(17) for v in (2**p - 1, 2**p, 2**p + 1) if v < n} | {n - 2, n - 1})
+    space = list(itertools.product(points, repeat=2))
     kernel = TermColumns(alg, transposed(space, 2))
     assert kernel.width == (8 if n <= 256 else 16 if n <= 65536 else 32)
     assert kernel.full.bit_count() == len(space)
     x0, x1 = Var(0), Var(1)
     terms = [x0, x1, App("s", (x0,)), App("h", (x1,)), App("s", (App("h", (x0,)),))]
+    for t in terms:
+        assert values(kernel, t) == [eval_term(alg, t, a) for a in space], t
     for t, u in itertools.product(terms, repeat=2):
-        ct, cu = kernel.column(t), kernel.column(u)
+        ct, cu = values(kernel, t), values(kernel, u)
         assert kernel.rows(kernel.agree(t, u)) == [i for i in range(len(space)) if ct[i] == cu[i]]
     rows = [i for i, (x, y) in enumerate(space) if x < y]
     assert kernel.rows(kernel.mask(rows)) == rows
 
 
-def test_pack_puts_value_i_in_lane_i():
+def test_pack_puts_value_i_in_lane_i_and_unpack_reads_it_back():
     for width in (8, 16, 32):
-        values = [0, 1, 2 ** (width - 1), 2**width - 1, 5]
-        assert pack(values, width) == sum(v << width * i for i, v in enumerate(values))
+        lanes = [0, 1, 2 ** (width - 1), 2**width - 1, 5]
+        assert pack(lanes, width) == sum(v << width * i for i, v in enumerate(lanes))
+        assert list(unpack(pack(lanes, width), width, len(lanes))) == lanes
+        # high lanes holding 0 are still read back
+        assert list(unpack(pack(lanes + [0, 0], width), width, len(lanes) + 2)) == lanes + [0, 0]
+
+
+@pytest.mark.parametrize("n", [64, 257])
+def test_an_evaluated_column_retains_one_lane_per_row(n):
+    # 4,096 rows in 8-bit lanes at n = 64, 66,049 rows in 16-bit lanes at n = 257
+    alg = Algebra(n, [("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)])])
+    kernel = TermColumns(alg, product_columns(n, 2))
+    x0, x1 = Var(0), Var(1)
+    kernel.agree(App("m", (x1, x0)), x0)  # builds the lane constants and the table rows
+    t = App("m", (x0, x1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernel.agree(t, x0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.25 * kernel.length * kernel.width // 8, retained
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 300])
@@ -172,8 +208,8 @@ def test_product_space_rows_and_variable_columns(n, k):
     assert kernel.length == len(tuples)
     assert kernel.width == (8 if n <= 256 else 16)
     for j in range(k):
-        assert kernel.column(Var(j)) == [t[j] for t in tuples]
-        assert kernel.packed(Var(j)) == listed.packed(Var(j))
+        assert values(kernel, Var(j)) == [t[j] for t in tuples]
+        assert kernel.column(Var(j)) == listed.column(Var(j))
     assert kernel.tuples(range(len(tuples))) == tuples
     sample = random.Random(n * 10 + k).sample(range(len(tuples)), min(50, len(tuples)))
     assert kernel.tuples(sample) == [tuples[r] for r in sample]
@@ -187,7 +223,7 @@ def test_product_space_rows_and_variable_columns(n, k):
     # restricting to rows gathers the variable columns and the seeded ones
     sub = kernel.restrict(sample, [Var(k - 1)])
     assert sub.tuples(range(len(sample))) == [tuples[r] for r in sample]
-    assert sub.column(Var(k - 1)) == [tuples[r][k - 1] for r in sample]
+    assert values(sub, Var(k - 1)) == [tuples[r][k - 1] for r in sample]
     assert sub.rows(sub.members({tuples[r] for r in sample[::2]})) == list(range(0, len(sample), 2))
 
 
@@ -223,10 +259,10 @@ def test_kernels_from_columns_match_the_references(n):
         sample = rng.sample(range(len(tuples)), 200)
         assert kernel.tuples(sample) == [tuples[r] for r in sample]
         for t in terms:
-            col = kernel.column(t)
+            col = values(kernel, t)
             assert [col[r] for r in sample] == [eval_term(alg, t, tuples[r]) for r in sample], t
         for t, u in itertools.combinations(terms, 2):
-            ct, cu = kernel.column(t), kernel.column(u)
+            ct, cu = values(kernel, t), values(kernel, u)
             assert kernel.rows(kernel.agree(t, u)) == [r for r in range(len(tuples)) if ct[r] == cu[r]]
         target = frozenset(rng.sample(tuples, 300)) | {(0, 1), (n - 1, n - 2)}
         assert kernel.rows(kernel.members(target)) == [r for r, a in enumerate(tuples) if a in target]
