@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, TextIO
 
 from .algebra import Algebra, Relation, extension
@@ -73,7 +73,6 @@ class BenchRecord:
     samples: int  # completed within budget
     median_ms: float | None
     timeouts: int
-    outcomes: dict = field(default_factory=dict)
 
     def csv_row(self) -> str:
         med = f"{self.median_ms:.3f}" if self.median_ms is not None else ""
@@ -129,7 +128,6 @@ def bench(config: BenchConfig) -> Iterator[BenchRecord]:
             decide = _DECIDERS[strategy]
             times_ms: list[float] = []
             timeouts = 0
-            outcomes = {"definable": 0, "not_definable": 0}
             for alg, rel in instances:
                 t0 = time.perf_counter()
                 decision = decide(alg, rel)
@@ -138,7 +136,6 @@ def bench(config: BenchConfig) -> Iterator[BenchRecord]:
                 if not decision.is_definable:
                     raise AssertionError("a formula-extension target must be definable")
                 check_decision(alg, rel, decision)
-                outcomes["definable" if decision.is_definable else "not_definable"] += 1
                 if config.time_budget is not None and elapsed > config.time_budget:
                     timeouts += 1
                 else:
@@ -150,7 +147,6 @@ def bench(config: BenchConfig) -> Iterator[BenchRecord]:
                 samples=len(times_ms),
                 median_ms=statistics.median(times_ms) if times_ms else None,
                 timeouts=timeouts,
-                outcomes=outcomes,
             )
 
 

@@ -74,6 +74,7 @@ def test_formula_check_does_not_trust_the_column_kernel(monkeypatch):
         right = splitting_decide(alg, rel)
         wrong = Definable(Eq(Var(0), Var(k - 1)))
         monkeypatch.setattr(TermColumns, "agree", lambda self, t, s: self.full)
+        assert len(extension(alg, wrong.formula, k)) == alg.size**k  # the kernel is fooled
         check_decision(alg, rel, right)
         with pytest.raises(ValueError, match="extension"):
             check_decision(alg, rel, wrong)

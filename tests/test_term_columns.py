@@ -148,11 +148,13 @@ def test_masks_at_lane_width_boundaries(n):
     for t, u in itertools.product(terms, repeat=2):
         ct, cu = values(kernel, t), values(kernel, u)
         assert kernel.rows(kernel.agree(t, u)) == [i for i in range(len(space)) if ct[i] == cu[i]]
+    phi = Or((And((Eq(terms[2], x1), Not(Eq(x0, x1)))), Eq(terms[4], terms[3]), FALSE))
+    assert kernel.rows(kernel.holds(phi)) == [i for i, a in enumerate(space) if eval_formula(alg, phi, a)]
     rows = [i for i, (x, y) in enumerate(space) if x < y]
     assert kernel.rows(kernel.mask(rows)) == rows
 
 
-def test_pack_puts_value_i_in_lane_i_and_unpack_reads_it_back():
+def test_pack_puts_value_i_in_lane_i():
     for width in (8, 16, 32):
         lanes = [0, 1, 2 ** (width - 1), 2**width - 1, 5]
         assert pack(lanes, width) == sum(v << width * i for i, v in enumerate(lanes))
@@ -167,7 +169,7 @@ def test_an_evaluated_column_retains_one_lane_per_row(n):
     alg = Algebra(n, [("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)])])
     kernel = TermColumns(alg, product_columns(n, 2))
     x0, x1 = Var(0), Var(1)
-    kernel.agree(App("m", (x1, x0)), x0)  # builds the lane constants and the table rows
+    kernel.agree(App("m", (x1, x0)), x0)  # a first evaluation builds the table rows the kernel keeps
     t = App("m", (x0, x1))
     tracemalloc.start()
     try:
