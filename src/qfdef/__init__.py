@@ -34,7 +34,6 @@ from .algebra import (
     save_relation,
     sg,
 )
-from .bench import BenchConfig, BenchRecord, bench
 from .decision import Decision, Definable, NotDefinable, check_decision
 from .generators import (
     diamond_lattice,

@@ -416,9 +416,15 @@ def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
     if isinstance(phi, Not):
         return not eval_formula(alg, phi.inner, a)
     if isinstance(phi, And):
-        return all(eval_formula(alg, c, a) for c in phi.children)
+        for c in phi.children:
+            if not eval_formula(alg, c, a):
+                return False
+        return True
     if isinstance(phi, Or):
-        return any(eval_formula(alg, c, a) for c in phi.children)
+        for c in phi.children:
+            if eval_formula(alg, c, a):
+                return True
+        return False
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -20,7 +20,6 @@ from .algebra import (
     save_algebra,
     save_relation,
 )
-from .bench import BenchConfig, bench, write_csv
 from .decision import Decision
 from .generators import (
     gen_abelian_group,
@@ -172,32 +171,6 @@ def _cmd_gen(args) -> int:
     return EXIT_DEFINABLE
 
 
-def _cmd_bench(args) -> int:
-    config = BenchConfig(
-        family=args.family,
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
-        samples=args.samples,
-        target_arity=args.arity,
-        strategies=tuple(args.strategies.split(",")),
-        seed=args.seed,
-        time_budget=args.time_budget,
-    )
-    records = list(bench(config))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            write_csv(records, fh)
-    else:
-        write_csv(records, sys.stdout)
-    if args.json:
-        print(json.dumps([rec.__dict__ for rec in records]))
-    return EXIT_DEFINABLE
-
-
-def _allow_seed(p: argparse.ArgumentParser) -> None:
-    """Let the global `--seed` also appear after the subcommands that read it."""
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfdef",
@@ -253,21 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--atoms", type=int, default=8)
     g.add_argument("--out", required=True)
     g.add_argument("--extension-out", default=None, help="also save the formula's extension")
+    # the global --seed may also follow `gen <kind>`, the only subcommands that read it
     for sp in gensub.choices.values():
-        _allow_seed(sp)
+        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="benchmark sweep with CSV output")
-    p.add_argument("--family", choices=("random", "boolean-algebra", "abelian-group", "graph-star"), required=True)
-    p.add_argument("--sizes", default="4,8,16", help="comma-separated sizes")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--strategies", default="merging,splitting")
-    p.add_argument("--csv", default=None, help="CSV output path (default: stdout)")
-    p.add_argument("--time-budget", type=float, default=None, help="per-run budget, seconds")
-    p.add_argument("--json", action="store_true", help="also emit machine-readable output")
-    _allow_seed(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qfdef import Relation, diamond_lattice, save_algebra, save_relation
-from qfdef.cli import main
+from qfdef.cli import build_parser, main
 from qfdef.oracle import Graph, save_graph
 
 from conftest import DIAMOND_LEQ
@@ -169,21 +170,6 @@ def test_gen_graph_star_rejects_a_malformed_vertex_count(tmp_path, vertices):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-def test_bench_cli_csv(capsys, tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    code, _ = run(
-        capsys,
-        [
-            "bench", "--family", "abelian-group", "--sizes", "4", "--samples", "1",
-            "--csv", str(csv_path),
-        ],
-    )
-    assert code == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "family,size,strategy,samples,median_ms,timeouts"
-    assert len(lines) == 3
-
-
 def test_usage_error_exit_code(capsys, tmp_path):
     code, _ = run(capsys, ["decide", "--strategy", "merging", "--algebra", "missing.json", "--relation", "missing.json"])
     assert code == 2
@@ -199,15 +185,7 @@ def test_global_flags_after_subcommand(capsys, tmp_path):
     assert load_algebra(str(out_a)).op("f").table == load_algebra(str(out_b)).op("f").table
 
 
-def test_bench_takes_time_budget_and_json(capsys):
-    argv = ["bench", "--family", "random", "--sizes", "3", "--samples", "1", "--strategies", "merging"]
-    code, out = run(capsys, [*argv, "--time-budget", "0", "--json", "--seed", "2"])
-    assert code == 0
-    (record,) = json.loads(out.splitlines()[-1])
-    assert record["timeouts"] == 1 and record["samples"] == 0
-
-
-def test_decide_rejects_bench_only_flags(diamond_files):
+def test_decide_rejects_unknown_flags(diamond_files):
     alg, order, _ = diamond_files
     argv = ["decide", "--strategy", "merging", "--algebra", alg, "--relation", order]
     for flags in (["--time-budget", "1"], ["--json"], ["--seed", "1"]):
@@ -215,6 +193,19 @@ def test_decide_rejects_bench_only_flags(diamond_files):
         assert proc.returncode == 2, flags
         assert "Traceback" not in proc.stderr
     assert _run_cli(["--time-budget", "1", *argv]).returncode == 2
+    # the removed `bench` subcommand is a usage error like any unknown one
+    proc = _run_cli(["bench", "--family", "random"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("qfdef ")]
+    assert lines
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
 
 
 def test_decide_trace_and_invariants(capsys, diamond_files):
