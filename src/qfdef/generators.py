@@ -40,30 +40,19 @@ def gen_abelian_group(factors: Sequence[int]) -> Algebra:
     factors = tuple(factors)
     if not factors or any(f < 2 for f in factors):
         raise ValueError("each cyclic factor must be >= 2")
-    n = 1
-    for f in factors:
-        n *= f
-
-    def decode(e: int) -> tuple[int, ...]:
-        out = []
-        for f in reversed(factors):
-            out.append(e % f)
-            e //= f
-        return tuple(reversed(out))
-
-    def encode(t: Sequence[int]) -> int:
-        e = 0
-        for f, x in zip(factors, t):
-            e = e * f + x
-        return e
-
-    table = []
-    for a in range(n):
-        da = decode(a)
-        for b in range(n):
-            db = decode(b)
-            table.append(encode([(x + y) % f for x, y, f in zip(da, db, factors)]))
-    return Algebra(n, [("add", 2, table)])
+    # mixed radix, first factor most significant: a table over the factors
+    # after f, of m elements, grows to the one over f and those after it
+    table, m = [0], 1
+    for f in reversed(factors):
+        table = [
+            ((x1 + x2) % f) * m + table[r1 * m + r2]
+            for x1 in range(f)
+            for r1 in range(m)
+            for x2 in range(f)
+            for r2 in range(m)
+        ]
+        m *= f
+    return Algebra(m, [("add", 2, table)])
 
 
 def gen_boolean_algebra(atoms: int) -> Algebra:

@@ -9,6 +9,11 @@ It is a canonical form in the sense of McKay and Piperno ("Practical
 graph isomorphism II", 2014).  Two tuples get the same key exactly when
 they are connected by an isomorphism between the substructures they
 generate, and in that case the ordered universes line up pointwise.
+
+Up to 256 elements the closure runs on bytes, over table rows that it
+slices once per algebra and keeps.  `iso_type` holds the last algebra it
+was called on, with those rows, in a one-entry memo; larger algebras go
+through a list closure that slices the rows it reads every round.
 """
 
 from __future__ import annotations
@@ -48,26 +53,93 @@ class IsoSignature:
         return tuple(map(tuple, blocks))
 
 
-def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
-    """Canonical isomorphism type of `a`; pure and deterministic.
+class _Closure:
+    """The closure over one algebra of at most 256 elements, a byte per value.
 
-    Closure position i holds the i-th value produced: the entries of `a`,
-    then each round of `applications` over the values found so far, up to
-    the first round that adds no new value.  A round is semi-naive
-    (Bancilhon and Ramakrishnan, 1986) and reads whole table rows: per
-    arity, `prefix_rows` gives the rows with the values each is read at.
-    Ranks are looked up once, at the end: a value keeps its first rank.
+    Values and universe are bytes, and a table row is a 256-byte
+    `translate` table, so reading a row at a run of values is
+    `run.translate(row)`.  A round goes by arity, then by declared symbol
+    order.  A unary operation is read in its whole table.  A binary one is
+    read row by row, each row sliced on its first read and kept for every
+    later round and call.  From arity 3 on, `prefix_rows` slices the rows
+    of every round afresh.  A round's new values are what is left of it
+    once `translate` deletes the known ones, and the key is the values
+    translated by their ranks.
     """
-    a = tuple(a)
-    if not a:
-        raise ValueError("cannot compute the type of an empty tuple")
+
+    __slots__ = ("n", "unary", "binary", "higher")
+
+    def __init__(self, alg: Algebra):
+        n = self.n = alg.size
+        self.unary = [_byte_row(op.table) for op in alg.ops_of_arity(1)]
+        self.binary = [_Rows(op.table, n).__getitem__ for op in alg.ops_of_arity(2)]
+        self.higher = [(r, [op.table for op in alg.ops_of_arity(r)]) for r in alg.arities if r > 2]
+
+    def close(self, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(key, universe, depth) of `a`, as `iso_type` defines them."""
+        unary, binary, higher = self.unary, self.binary, self.higher
+        universe = b""
+        values = bytearray(a)  # the value at every closure position
+        lo = 0  # where the last round's values start
+        for depth in itertools.count():
+            new = values[lo:].translate(None, universe)
+            if not new:
+                break
+            fresh = bytes(dict.fromkeys(new))
+            known = len(universe)
+            universe += fresh
+            # the whole round reads `universe` as it stands here; the next pass records what it adds
+            lo = len(values)
+            read_new = fresh.translate
+            for row in unary:
+                values += read_new(row)
+            if binary:
+                old, read_all = universe[:known], universe.translate
+                for row in binary:
+                    for cells in map(row, old):
+                        values += read_new(cells)
+                    for cells in map(row, fresh):
+                        values += read_all(cells)
+            for r, tables in higher:
+                runs = prefix_rows(universe, known, r, self.n)
+                for table in tables:
+                    for rows, read in runs:
+                        for cells in rows:
+                            values.extend(read(table[cells]))
+        rank = bytes.maketrans(universe, _RANKS[: len(universe)])
+        return tuple(values.translate(rank)), tuple(universe), depth
+
+
+# byte r is r: `maketrans` maps the universe's r-th value to its rank r
+_RANKS = bytes(range(256))
+
+
+def _byte_row(cells: Sequence[int]) -> bytes:
+    return bytes(cells).ljust(256, b"\0")
+
+
+class _Rows(dict):
+    """The rows of one binary table by first argument, each made on first read."""
+
+    __slots__ = ("table", "n")
+
+    def __init__(self, table: tuple[int, ...], n: int):
+        self.table, self.n = table, n
+
+    def __missing__(self, x: int) -> bytes:
+        n = self.n
+        row = self[x] = _byte_row(self.table[x * n : x * n + n])
+        return row
+
+
+def _close_wide(alg: Algebra, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """`_Closure.close` for algebras of more than 256 elements: values are
+    ints in a list, and `prefix_rows` slices the rows of every round."""
     n = alg.size
-    if min(a) < 0 or max(a) >= n:
-        raise ValueError(f"tuple {a} has an entry outside 0..{n - 1}")
     rank = [-1] * n
     universe: list[int] = []
-    values = list(a)  # the value at every closure position
-    lo = 0  # where the last round's values start
+    values = list(a)
+    lo = 0
     for depth in itertools.count():
         known = len(universe)
         for v in dict.fromkeys(values[lo:]):
@@ -76,7 +148,6 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
                 universe.append(v)
         if len(universe) == known:
             break
-        # gathered in full before recording, so the round's base is `universe` as it stands now
         lo = len(values)
         for r in alg.arities:
             runs = prefix_rows(universe, known, r, n)
@@ -86,7 +157,42 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
                     for row in rows:
                         values += read(table[row])
     key = operator.itemgetter(*values)(rank) if len(values) > 1 else (rank[values[0]],)
-    return IsoSignature(key=key, universe=tuple(universe), depth=depth)
+    return key, tuple(universe), depth
+
+
+# the algebra of the last `iso_type` call with its closure, swapped as one tuple
+_last: tuple[Algebra, _Closure] | None = None
+
+
+def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
+    """Canonical isomorphism type of `a`; pure and deterministic.
+
+    Closure position i holds the i-th value produced: the entries of `a`,
+    then each round of `applications` over the values found so far, up to
+    the first round that adds no new value.  A round is semi-naive
+    (Bancilhon and Ramakrishnan, 1986) and reads whole table rows, as
+    `_Closure` sets out.  A value keeps the rank of its first appearance.
+
+    A one-entry memo holds the last algebra with its `_Closure`, so all
+    the calls of one decision read the rows that the first calls sliced.
+    It is keyed by identity, and it keeps that one algebra alive.
+    Algebras of more than 256 elements go through `_close_wide` instead.
+    """
+    global _last
+    a = tuple(a)
+    if not a:
+        raise ValueError("cannot compute the type of an empty tuple")
+    n = alg.size
+    if min(a) < 0 or max(a) >= n:
+        raise ValueError(f"tuple {a} has an entry outside 0..{n - 1}")
+    if n > 256:
+        key, universe, depth = _close_wide(alg, a)
+    else:
+        last = _last
+        if last is None or last[0] is not alg:
+            last = _last = (alg, _Closure(alg))
+        key, universe, depth = last[1].close(a)
+    return IsoSignature(key=key, universe=universe, depth=depth)
 
 
 def iso_type_terms(alg: Algebra, a: Sequence[int]) -> tuple[IsoSignature, tuple[str, ...]]:

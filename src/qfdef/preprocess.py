@@ -158,7 +158,8 @@ def recombine(pat: Pattern, phi: QfFormula, k: int) -> QfFormula:
     if bad:
         raise ValueError(f"formula uses x{max(bad)} but the pattern has width {pat.width}")
     reps = pat.representatives
-    lifted = substitute_formula(phi, {j: reps[j] for j in range(pat.width)})
+    # representatives 0..w-1 rename every variable to itself
+    lifted = phi if reps == tuple(range(pat.width)) else substitute_formula(phi, dict(enumerate(reps)))
     literals: list[QfFormula] = []
     for block in pat.blocks:
         first = block[0]

@@ -47,6 +47,30 @@ def test_z2_cayley_table():
     assert alg.op("add").table == (0, 1, 1, 0)
 
 
+@pytest.mark.parametrize("factors", [(2,), (3, 5), (2, 2, 4), (2, 4, 4), (4, 4, 4)])
+def test_group_table_is_componentwise_addition(factors):
+    # element e encodes its components in mixed radix, first factor most significant
+    def decode(e):
+        out = []
+        for f in reversed(factors):
+            e, x = divmod(e, f)
+            out.append(x)
+        return out[::-1]
+
+    def encode(xs):
+        e = 0
+        for f, x in zip(factors, xs):
+            e = e * f + x
+        return e
+
+    alg = gen_abelian_group(factors)
+    n = alg.size
+    expected = tuple(
+        encode([(x + y) % f for x, y, f in zip(decode(a), decode(b), factors)]) for a in range(n) for b in range(n)
+    )
+    assert alg.op("add").table == expected
+
+
 def test_group_sizes():
     assert gen_abelian_group([2, 2, 4]).size == 16
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 
 from qfdef import gen_abelian_group, gen_random_algebra, iso_type, sg
 from qfdef.algebra import Algebra, applications, prefix_rows
+from qfdef.isotype import _close_wide, _Closure
 
 
 def reference_iso_type(alg, a):
@@ -64,6 +65,52 @@ def test_kernel_matches_reference_closure():
                 assert (sig.partition, sig.universe, sig.depth) == reference_iso_type(alg, a), (alg, a)
                 assert set(sig.universe) == sg(alg, a)
                 assert len(sig.key) == sum(map(len, sig.partition))
+
+
+def test_byte_and_wide_closures_agree():
+    # iso_type sends only algebras of more than 256 elements to _close_wide
+    for alg in kernel_algebras():
+        closure = _Closure(alg)
+        for a in itertools.product(range(alg.size), repeat=2):
+            assert closure.close(a) == _close_wide(alg, a), (alg, a)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_closure_at_the_byte_boundary_matches_reference(n):
+    # x // 2, max and & keep sg(a) small, so the reference stays cheap
+    alg = Algebra(
+        n,
+        [
+            ("u", 1, [x // 2 for x in range(n)]),
+            ("m", 2, [max(x, y) for x in range(n) for y in range(n)]),
+            ("a", 2, [x & y for x in range(n) for y in range(n)]),
+        ],
+    )
+    rng = random.Random(3)
+    for a in [(n - 1,), (n - 1, 0), (255, 254)] + [tuple(rng.sample(range(n), rng.randint(1, 3))) for _ in range(12)]:
+        sig = iso_type(alg, a)
+        assert (sig.partition, sig.universe, sig.depth) == reference_iso_type(alg, a), a
+
+
+def test_memo_serves_only_the_last_algebra():
+    # two algebras of one size with different tables, one of them ternary,
+    # and a copy of the first: every answer must ignore the call history
+    first = gen_random_algebra(5, signature=(("f", 2), ("h", 3)), seed=21)
+    second = gen_random_algebra(5, signature=(("u", 1), ("f", 2)), seed=22)
+    copy = Algebra(5, [(op.symbol, op.arity, op.table) for op in first.ops])
+    algebras = [first, second, copy]
+    expected = {}
+    for alg in algebras:
+        for a in itertools.permutations(range(5), 2):
+            expected[id(alg), a] = reference_iso_type(alg, a)
+    rng = random.Random(5)
+    tuples = list(itertools.permutations(range(5), 2))
+    for _ in range(600):
+        alg, a = rng.choice(algebras), rng.choice(tuples)
+        for _ in range(rng.randint(1, 3)):  # runs of calls on one algebra too
+            sig = iso_type(alg, a)
+            assert (sig.partition, sig.universe, sig.depth) == expected[id(alg), a], (alg, a)
+            a = rng.choice(tuples)
 
 
 def test_prefix_rows_follow_applications_order():

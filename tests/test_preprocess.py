@@ -161,10 +161,33 @@ def test_recombine_extension_characterization(diamond):
     assert got == expected
 
 
+def test_recombine_every_pattern_of_arity_3(diamond):
+    # representatives 0..w-1 keep phi itself and the others rename it; either
+    # way the extension is the tuples of the pattern whose squash satisfies phi
+    from qfdef import App
+
+    below = Eq(App("join", (Var(0), Var(1))), Var(1))
+    by_width = {1: TRUE, 2: below, 3: And((below, Eq(App("meet", (Var(1), Var(2))), Var(1))))}
+    for blocks in [((0, 1, 2),), ((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2)), ((0,), (1,), (2,))]:
+        pat = Pattern(blocks)
+        phi = by_width[pat.width]
+        lifted = recombine(pat, phi, 3)
+        assert (lifted.children[0] is phi) == (pat.representatives == tuple(range(pat.width))), blocks
+        squashed_ext = extension(diamond, phi, pat.width)
+        expected = {
+            a
+            for a in itertools.product(range(4), repeat=3)
+            if pattern(a).blocks == pat.blocks and squash(a) in squashed_ext
+        }
+        assert extension(diamond, lifted, 3).tuples == expected, blocks
+
+
 def test_recombine_validates_variables():
     pat = Pattern(((0,), (1,)))
     with pytest.raises(ValueError, match="width"):
         recombine(pat, Eq(Var(2), Var(0)), 2)
+    with pytest.raises(ValueError, match="width"):
+        recombine(Pattern(((0,), (1, 2))), Eq(Var(2), Var(0)), 3)
     with pytest.raises(ValueError, match="arity"):
         recombine(pat, TRUE, 5)
 
