@@ -12,8 +12,9 @@ generate, and in that case the ordered universes line up pointwise.
 
 Up to 256 elements the closure runs on bytes, over table rows that it
 slices once per algebra and keeps.  `iso_type` holds the last algebra it
-was called on, with those rows, in a one-entry memo; larger algebras go
-through a list closure that slices the rows it reads every round.
+was called on, with those rows, in a one-entry memo.  A byte holds no
+element above 255, so larger algebras go through a list closure that
+slices the rows it reads every round.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ class _Closure:
     `translate` table, so reading a row at a run of values is
     `run.translate(row)`.  A round goes by arity, then by declared symbol
     order.  A unary operation is read in its whole table.  A binary one is
-    read row by row, each row sliced on its first read and kept for every
-    later round and call.  From arity 3 on, `prefix_rows` slices the rows
-    of every round afresh.  A round's new values are what is left of it
-    once `translate` deletes the known ones, and the key is the values
+    read row by row, its n rows made with the closure and kept for every
+    round and call.  From arity 3 on, `prefix_rows` slices the rows of
+    every round afresh.  A round's new values are what is left of it once
+    `translate` deletes the known ones, and the key is the values
     translated by their ranks.
     """
 
@@ -72,8 +73,8 @@ class _Closure:
     def __init__(self, alg: Algebra):
         n = self.n = alg.size
         self.unary = [_byte_row(op.table) for op in alg.ops_of_arity(1)]
-        self.binary = [_Rows(op.table, n).__getitem__ for op in alg.ops_of_arity(2)]
-        self.higher = [(r, [op.table for op in alg.ops_of_arity(r)]) for r in alg.arities if r > 2]
+        self.binary = [_byte_rows(op.table, n).__getitem__ for op in alg.ops_of_arity(2)]
+        self.higher = _tables(alg, 3)
 
     def close(self, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """(key, universe, depth) of `a`, as `iso_type` defines them."""
@@ -100,12 +101,8 @@ class _Closure:
                         values += read_new(cells)
                     for cells in map(row, fresh):
                         values += read_all(cells)
-            for r, tables in higher:
-                runs = prefix_rows(universe, known, r, self.n)
-                for table in tables:
-                    for rows, read in runs:
-                        for cells in rows:
-                            values.extend(read(table[cells]))
+            if higher:
+                _read_prefix_rows(values, universe, known, self.n, higher)
         rank = bytes.maketrans(universe, _RANKS[: len(universe)])
         return tuple(values.translate(rank)), tuple(universe), depth
 
@@ -118,24 +115,37 @@ def _byte_row(cells: Sequence[int]) -> bytes:
     return bytes(cells).ljust(256, b"\0")
 
 
-class _Rows(dict):
-    """The rows of one binary table by first argument, each made on first read."""
+def _byte_rows(table: tuple[int, ...], n: int) -> list[bytes]:
+    """The n rows of a binary table by first argument."""
+    return [_byte_row(table[x * n : x * n + n]) for x in range(n)]
 
-    __slots__ = ("table", "n")
 
-    def __init__(self, table: tuple[int, ...], n: int):
-        self.table, self.n = table, n
+_Tables = list[tuple[int, list[tuple[int, ...]]]]
 
-    def __missing__(self, x: int) -> bytes:
-        n = self.n
-        row = self[x] = _byte_row(self.table[x * n : x * n + n])
-        return row
+
+def _tables(alg: Algebra, lowest: int) -> _Tables:
+    """(arity, tables) for each arity from `lowest` on, tables in declared order."""
+    return [(r, [op.table for op in alg.ops_of_arity(r)]) for r in alg.arities if r >= lowest]
+
+
+def _read_prefix_rows(
+    values: bytearray | list[int], universe: Sequence[int], known: int, n: int, by_arity: _Tables
+) -> None:
+    """Extend `values` by one round of the tables in `by_arity`, read
+    through `prefix_rows`; the values from `known` on are fresh."""
+    for r, tables in by_arity:
+        runs = prefix_rows(universe, known, r, n)
+        for table in tables:
+            for rows, read in runs:
+                for row in rows:
+                    values.extend(read(table[row]))
 
 
 def _close_wide(alg: Algebra, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """`_Closure.close` for algebras of more than 256 elements: values are
     ints in a list, and `prefix_rows` slices the rows of every round."""
     n = alg.size
+    by_arity = _tables(alg, 1)
     rank = [-1] * n
     universe: list[int] = []
     values = list(a)
@@ -149,13 +159,7 @@ def _close_wide(alg: Algebra, a: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
         if len(universe) == known:
             break
         lo = len(values)
-        for r in alg.arities:
-            runs = prefix_rows(universe, known, r, n)
-            for op in alg.ops_of_arity(r):
-                table = op.table
-                for rows, read in runs:
-                    for row in rows:
-                        values += read(table[row])
+        _read_prefix_rows(values, universe, known, n, by_arity)
     key = operator.itemgetter(*values)(rank) if len(values) > 1 else (rank[values[0]],)
     return key, tuple(universe), depth
 
@@ -174,7 +178,7 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
     `_Closure` sets out.  A value keeps the rank of its first appearance.
 
     A one-entry memo holds the last algebra with its `_Closure`, so all
-    the calls of one decision read the rows that the first calls sliced.
+    the calls of one decision read the rows that the first call sliced.
     It is keyed by identity, and it keeps that one algebra alive.
     Algebras of more than 256 elements go through `_close_wide` instead.
     """
