@@ -15,7 +15,6 @@ This strategy never produces a defining formula.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Iterator, Sequence
 
 from .algebra import FALSE, Algebra, Relation, tuple_codes
@@ -33,12 +32,14 @@ class OrbitStore:
     (`algebra.tuple_codes`, also splitting's row numbering) plus the
     offset of arity k, so one flat `parent` forest covers every arity in
     the spec (codes of tuples with repeated entries stay singletons).
-    Unions go by size with path halving.  A tuple's membership vector is
-    an int whose bit j says it lies in target j, in a list beside
-    `parent`; an orbit's membership is that of any of its members, since
-    orbits of unequal membership never merge.  Type, universe and the
-    per-arity type -> root index live on roots only; the index also
-    enforces that a type is never carried by two distinct orbits.
+    Finds halve the path; a union hangs an untagged root under the other
+    root, so a tagged root stays a root for the whole decision.  A
+    tuple's membership vector is an int whose bit j says it lies in
+    target j, in a list beside `parent`; an orbit's membership is that of
+    any of its members, since orbits of unequal membership never merge.
+    Type, universe and the per-arity type -> root index live on roots
+    only, written once when the orbit is tagged; the index also enforces
+    that a type is never carried by two distinct orbits.
     """
 
     def __init__(self, alg: Algebra, bundle: TargetBundle, *, debug: bool = False):
@@ -52,7 +53,6 @@ class OrbitStore:
             self.offset[k] = total
             total += alg.size**k
         self.parent = list(range(total))
-        self.size = [1] * total
         self.membership = [0] * total
         for j, target in enumerate(bundle.targets):
             bit, off = 1 << j, self.offset[target.arity]
@@ -109,27 +109,20 @@ class OrbitStore:
     def merge(self, first: int, second: int, arity: int) -> int:
         """Join two distinct orbits of equal membership, given by their roots.
 
-        The smaller tree hangs under the larger one's root, which takes
-        over the annotation of whichever was tagged.  `try_merge_orbits`
+        `second` hangs under `first` unless `second` is tagged, so a tagged
+        root never moves and its annotation stays where `tag_orbit` wrote
+        it; the joined orbit's root is returned.  `try_merge_orbits`
         has found the roots distinct and of equal membership, so this
         checks only that at most one is tagged, and runs the debug suite.
         """
         tagged = self.type
-        if first in tagged and second in tagged:
-            raise AssertionError("two tagged orbits may never merge")
-        size = self.size
-        if size[first] < size[second]:
+        if second in tagged:
+            if first in tagged:
+                raise AssertionError("two tagged orbits may never merge")
             first, second = second, first
         self.parent[second] = first
-        size[first] += size[second]
-        if second in tagged:
-            t = tagged[first] = tagged.pop(second)
-            self.universe[first] = self.universe.pop(second)
-            self.universe_donor[first] = self.universe_donor.pop(second)
-            self.tagged_index[arity][t] = first
         if self.debug:
             self._check_orbit(first, arity)
-            self._check_partition(arity)
         return first
 
     # -- debug invariant suite ------------------------------------------------
@@ -146,16 +139,6 @@ class OrbitStore:
             for t in members[:2]:
                 if iso_type(self.alg, t).key != self.type[root]:
                     raise AssertionError("tag differs from a member's type")
-
-    def _check_partition(self, arity: int) -> None:
-        counts: dict[int, int] = {}
-        for a in itertools.permutations(range(self.alg.size), arity):
-            r = self.orbit(a)
-            counts[r] = counts.get(r, 0) + 1
-        if sum(self.size[r] for r in counts) != math.perm(self.alg.size, arity):
-            raise AssertionError("orbit weights no longer partition the tuple space")
-        if any(self.size[r] != c for r, c in counts.items()):
-            raise AssertionError("stale orbit weight")
 
     def check_all_known(self, sub: frozenset[int]) -> None:
         for k in self.spec:

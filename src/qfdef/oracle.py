@@ -128,6 +128,8 @@ class Graph:
         if type(self.vertices) is not int or self.vertices < 0:
             raise ValueError(f"vertex count must be an integer >= 0, got {self.vertices!r}")
         for a, b in self.edges:
+            if type(a) is not int or type(b) is not int:  # bool is no vertex id either
+                raise ValueError(f"edge ({a!r},{b!r}) has a vertex id that is not an integer")
             if a == b:
                 raise ValueError(f"loop at vertex {a} not allowed")
             if not (0 <= a < b < self.vertices):

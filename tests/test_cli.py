@@ -170,6 +170,16 @@ def test_gen_graph_star_rejects_a_malformed_vertex_count(tmp_path, vertices):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("edges", ["[[0.5, 1]]", "[[true, 2]]", "[[0, 1.0]]"])
+def test_gen_graph_star_rejects_a_non_integer_vertex_id(tmp_path, edges):
+    # 0.5 would drop its edge silently and true would read as vertex 1
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text('{"vertices": 3, "edges": %s}' % edges)
+    proc = _run_cli(["gen", "graph-star", "--graph", str(graph_path), "--out", str(tmp_path / "star.json")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code(capsys, tmp_path):
     code, _ = run(capsys, ["decide", "--strategy", "merging", "--algebra", "missing.json", "--relation", "missing.json"])
     assert code == 2

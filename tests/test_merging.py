@@ -7,8 +7,14 @@ from qfdef import (
     FALSE,
     Relation,
     Subisomorphism,
+    check_decision,
+    extension,
     gen_abelian_group,
+    gen_boolean_algebra,
     gen_random_algebra,
+    gen_random_formula,
+    gen_random_graph,
+    graph_star,
     iso_type,
     merging_decide,
     oracle_definable,
@@ -18,7 +24,7 @@ from qfdef import (
 from qfdef.merging import OrbitStore
 from qfdef.preprocess import decompose, rel_type
 
-from conftest import random_instance
+from conftest import plant_negative, random_instance
 
 
 def test_order_is_definable(diamond, diamond_order):
@@ -187,6 +193,22 @@ def test_tag_then_merge_keeps_annotation(diamond, diamond_order):
     assert store.universe[merged] == sig.universe
     assert store.find_tagged(2, sig.partition) == merged
 
+    # (1, 0), (2, 0) and (3, 0) are one type: an element over the bottom.
+    # A tagged singleton stays the root when it joins a larger untagged
+    # orbit, as merge's first argument or as its second.
+    sig = iso_type(diamond, (3, 0))
+    for tagged_first in (True, False):
+        store = OrbitStore(diamond, decompose(diamond_order), debug=True)
+        store.merge(store.orbit((1, 0)), store.orbit((2, 0)), 2)
+        store.tag_orbit((3, 0), sig.key, sig.universe)
+        root, untagged = store.orbit((3, 0)), store.orbit((1, 0))
+        pair = (root, untagged) if tagged_first else (untagged, root)
+        assert store.merge(*pair, 2) == root
+        assert store.orbit((3, 0)) == store.orbit((2, 0)) == store.orbit((1, 0)) == root
+        for annotation in (store.type, store.universe, store.universe_donor):
+            assert list(annotation) == [root]
+        assert store.tagged_index == {1: {}, 2: {sig.key: root}}
+
 
 def test_double_tag_same_values_is_noop(diamond, diamond_order):
     store = _store(diamond, diamond_order)
@@ -223,11 +245,6 @@ def test_debug_suite_catches_a_corrupted_store(diamond, diamond_order):
     sig = iso_type(diamond, (0, 1))
 
     store = OrbitStore(diamond, decompose(diamond_order), debug=True)
-    store.size[store.orbit((0, 1))] += 1
-    with pytest.raises(AssertionError, match="weight"):
-        try_merge_orbits(swap, store)
-
-    store = OrbitStore(diamond, decompose(diamond_order), debug=True)
     assert try_merge_orbits(swap, store)
     store.membership[store.orbit((0, 1))] = 0  # the orbit's membership drifts from its members'
     with pytest.raises(AssertionError, match="membership"):
@@ -255,3 +272,47 @@ def test_agreement_with_oracle():
             assert got.gamma.is_valid(alg)
             assert got.witness_in in rel.tuples and got.witness_out not in rel.tuples
             assert got.gamma.map_tuple(got.witness_in) == got.witness_out
+
+
+def type_grouping_definable(alg, rel):
+    """Reference decider: `rel` is definable iff, for each target of its
+    decomposition, every group of repetition-free tuples of the target's
+    width that share an `iso_type` key lies wholly inside or wholly
+    outside the target."""
+    keys = {}
+    for target in decompose(rel, alg.size).targets:
+        k = target.arity
+        if k not in keys:
+            keys[k] = [(a, iso_type(alg, a).key) for a in itertools.permutations(range(alg.size), k)]
+        inside = {}
+        for a, key in keys[k]:
+            if inside.setdefault(key, a in target.tuples) != (a in target.tuples):
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "alg, arity",
+    [
+        (gen_abelian_group((2, 4)), 3),
+        (gen_boolean_algebra(4), 3),
+        (gen_abelian_group((2, 4, 4)), 2),
+        (gen_boolean_algebra(5), 2),
+        (graph_star(gen_random_graph(14, seed=1))[0], 2),
+    ],
+    ids=["abelian-8-k3", "boolean-16-k3", "abelian-32-k2", "boolean-32-k2", "graph-star-14-k2"],
+)
+def test_agreement_with_type_grouping_reference(alg, arity):
+    # sizes and arities past the brute-force oracle: formula extensions, from
+    # 0 tuples to all of A^k, and their planted twins
+    verdicts = []
+    for seed in range(6):
+        rel = extension(alg, gen_random_formula(alg, arity, seed=seed), arity)
+        planted = plant_negative(alg, rel, random.Random(seed))
+        for r in (rel, planted):
+            d = merging_decide(alg, r)
+            assert d.is_definable == type_grouping_definable(alg, r), (seed, r is planted)
+            if not d.is_definable:
+                check_decision(alg, r, d)
+            verdicts.append(d.is_definable)
+    assert verdicts == [True, False] * 6
