@@ -18,7 +18,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -658,45 +658,6 @@ def applications(
             yield op, index_tuples
 
 
-def prefix_rows(values: Sequence[int], known: int, r: int, n: int) -> list[tuple[Sequence[slice], Callable]]:
-    """One closure round's r-ary argument tuples, as reads of table rows.
-
-    The tuples are those of `applications` over `values` with fresh
-    entries `values[known:]` (at least one), in the same lexicographic
-    order.  Each (r-1)-prefix of values is one row of a row-major table,
-    read at every value if the prefix holds a fresh one and at the fresh
-    values only if not.  Returns runs of rows that share a reader, as
-    (row slices, C-level `itemgetter`).  r = 1 is the one empty prefix,
-    whose row is the whole table; longer prefixes put a value in front.
-    """
-    read_new = _reader(values[known:])
-    if r == 1:
-        return [((slice(0, n),), read_new)]
-    read_all = _reader(values)
-    rows = read_all(_unit_rows(n))
-    runs = [(rows[:known], read_new), (rows[known:], read_all)]
-    for j in range(2, r):
-        w = n**j
-        fresh = [t for v in values[known:] for rows, _ in runs for t in _shift(rows, v * w)]
-        runs = [(_shift(rows, v * w), read) for v in values[:known] for rows, read in runs] + [(fresh, read_all)]
-    return runs
-
-
-def _shift(rows: Iterable[slice], by: int) -> list[slice]:
-    return [slice(by + t.start, by + t.stop) for t in rows]
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_rows(n: int) -> tuple[slice, ...]:
-    """The rows of a table with n columns, shared by all tables of that width."""
-    return tuple(slice(v * n, v * n + n) for v in range(n))
-
-
-def _reader(columns: Sequence[int]) -> Callable:
-    """`itemgetter` of the columns, returning a tuple also for one column."""
-    return operator.itemgetter(*columns) if len(columns) > 1 else operator.itemgetter(slice(columns[0], columns[0] + 1))
-
-
 def sg(alg: Algebra, a: Sequence[int]) -> frozenset[int]:
     """Subuniverse generated by the entries of `a` (least closed superset)."""
     if not a:
@@ -942,8 +903,10 @@ def relation_to_json(rel: Relation) -> dict:
 def relation_from_json(doc: dict) -> Relation:
     try:
         arity, tuples = doc["arity"], doc["tuples"]
-    except (TypeError, KeyError) as e:
+    except KeyError as e:
         raise ValueError(f"malformed relation document: missing {e}") from None
+    except TypeError:
+        raise ValueError(f"malformed relation document: expected an object, got {type(doc).__name__}") from None
     # entries are checked here, once per load, and not in every decision
     ints = type(tuples) is list and all(type(t) is list and all(type(v) is int for v in t) for t in tuples)
     if type(arity) is not int or not ints:

@@ -23,9 +23,9 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .algebra import Algebra, applications, prefix_rows
+from .algebra import Algebra, applications
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,15 @@ class _Closure:
     Values and universe are bytes, and a table row is a 256-byte
     `translate` table, so reading a row at a run of values is
     `run.translate(row)`.  A round goes by arity, then by declared symbol
-    order.  A unary operation is read in its whole table.  A binary one is
-    read row by row, its n rows made with the closure and kept for every
-    round and call.  From arity 3 on, `prefix_rows` slices the rows of
-    every round afresh.  A round's new values are what is left of it once
-    `translate` deletes the known ones, and the key is the values
-    translated by their ranks.
+    order.  A unary operation is read in its whole table.  Any other is
+    read row by row, its rows made with the closure and kept for every
+    round and call: a binary table has a row per first argument, and an
+    r-ary one a row per (r-1)-prefix, read in the order `_prefixes` lists.
+    A round's new values are what is left of it once `translate` deletes
+    the known ones, and the key is the values translated by their ranks.
+
+    The rows of an r-ary table take n^(r-1) * 256 bytes, at most 32/n
+    times the memory of the table tuple itself (8 bytes an entry).
     """
 
     __slots__ = ("n", "unary", "binary", "higher")
@@ -74,7 +77,7 @@ class _Closure:
         n = self.n = alg.size
         self.unary = [_byte_row(op.table) for op in alg.ops_of_arity(1)]
         self.binary = [_byte_rows(op.table, n).__getitem__ for op in alg.ops_of_arity(2)]
-        self.higher = _tables(alg, 3)
+        self.higher = [(r, [_byte_rows(op.table, n) for op in alg.ops_of_arity(r)]) for r in alg.arities if r >= 3]
 
     def close(self, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """(key, universe, depth) of `a`, as `iso_type` defines them."""
@@ -101,8 +104,11 @@ class _Closure:
                         values += read_new(cells)
                     for cells in map(row, fresh):
                         values += read_all(cells)
-            if higher:
-                _read_prefix_rows(values, universe, known, self.n, higher)
+            for r, tables in higher:
+                prefixes = _prefixes(universe, known, r, self.n, read_new, universe.translate)
+                for rows in tables:
+                    for row, read in prefixes:
+                        values += read(rows[row])
         rank = bytes.maketrans(universe, _RANKS[: len(universe)])
         return tuple(values.translate(rank)), tuple(universe), depth
 
@@ -116,36 +122,29 @@ def _byte_row(cells: Sequence[int]) -> bytes:
 
 
 def _byte_rows(table: tuple[int, ...], n: int) -> list[bytes]:
-    """The n rows of a binary table by first argument."""
-    return [_byte_row(table[x * n : x * n + n]) for x in range(n)]
+    """The rows of a row-major table with n columns: by first argument
+    for a binary table, by (r-1)-prefix for an r-ary one."""
+    return [_byte_row(table[x : x + n]) for x in range(0, len(table), n)]
 
 
-_Tables = list[tuple[int, list[tuple[int, ...]]]]
-
-
-def _tables(alg: Algebra, lowest: int) -> _Tables:
-    """(arity, tables) for each arity from `lowest` on, tables in declared order."""
-    return [(r, [op.table for op in alg.ops_of_arity(r)]) for r in alg.arities if r >= lowest]
-
-
-def _read_prefix_rows(
-    values: bytearray | list[int], universe: Sequence[int], known: int, n: int, by_arity: _Tables
-) -> None:
-    """Extend `values` by one round of the tables in `by_arity`, read
-    through `prefix_rows`; the values from `known` on are fresh."""
-    for r, tables in by_arity:
-        runs = prefix_rows(universe, known, r, n)
-        for table in tables:
-            for rows, read in runs:
-                for row in rows:
-                    values.extend(read(table[row]))
+def _prefixes(
+    universe: Sequence[int], known: int, r: int, n: int, read_new: Callable, read_all: Callable
+) -> list[tuple[int, Callable]]:
+    """(row index, reader) for each (r-1)-prefix of one round's r-ary
+    argument tuples over `universe`, fresh from `known` on, in `applications`
+    order: the prefix's row in a row-major table with n columns, read at
+    every value by `read_all` if the prefix holds a fresh value and at the
+    fresh values only by `read_new` if not."""
+    rows = [(0, read_new)]
+    for _ in range(r - 1):
+        rows = [(row * n + v, read_all if i >= known else read) for row, read in rows for i, v in enumerate(universe)]
+    return rows
 
 
 def _close_wide(alg: Algebra, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """`_Closure.close` for algebras of more than 256 elements: values are
-    ints in a list, and `prefix_rows` slices the rows of every round."""
+    ints in a list, and each round slices the table rows `_prefixes` lists."""
     n = alg.size
-    by_arity = _tables(alg, 1)
     rank = [-1] * n
     universe: list[int] = []
     values = list(a)
@@ -159,9 +158,19 @@ def _close_wide(alg: Algebra, a: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
         if len(universe) == known:
             break
         lo = len(values)
-        _read_prefix_rows(values, universe, known, n, by_arity)
+        for r in alg.arities:
+            prefixes = _prefixes(universe, known, r, n, _reader(universe[known:]), _reader(universe))
+            for op in alg.ops_of_arity(r):
+                table = op.table
+                for row, read in prefixes:
+                    values.extend(read(table[row * n : row * n + n]))
     key = operator.itemgetter(*values)(rank) if len(values) > 1 else (rank[values[0]],)
     return key, tuple(universe), depth
+
+
+def _reader(columns: Sequence[int]) -> Callable:
+    """`itemgetter` of the columns, returning a tuple also for one column."""
+    return operator.itemgetter(*columns) if len(columns) > 1 else operator.itemgetter(slice(columns[0], columns[0] + 1))
 
 
 # the algebra of the last `iso_type` call with its closure, swapped as one tuple

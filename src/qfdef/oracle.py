@@ -154,6 +154,8 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(doc: dict) -> Graph:
     try:
+        if not all(len(e) == 2 for e in doc["edges"]):
+            raise ValueError("malformed graph document: an edge is not a pair of vertex ids")
         return Graph.of(doc["vertices"], doc["edges"])
     except KeyError as e:
         raise ValueError(f"malformed graph document: missing {e}") from None

@@ -231,6 +231,11 @@ def test_json_loaders_reject_malformed_documents():
             relation_from_json({"arity": 2, "tuples": tuples})
     with pytest.raises(ValueError, match="malformed relation document"):
         relation_from_json({"arity": True, "tuples": []})
+    with pytest.raises(ValueError, match="malformed relation document: missing 'tuples'"):
+        relation_from_json({"arity": 2})
+    for doc in ([1], "r", None):
+        with pytest.raises(ValueError, match="malformed relation document: expected an object"):
+            relation_from_json(doc)
     for operations in ({"f": 5}, {"f": {"arity": 1, "table": 5}}, [["f", 1, [0, 1]]]):
         with pytest.raises(ValueError, match="malformed algebra document"):
             algebra_from_json({"size": 2, "operations": operations})

@@ -12,8 +12,8 @@ import random
 import pytest
 
 from qfdef import gen_abelian_group, gen_random_algebra, iso_type, sg
-from qfdef.algebra import Algebra, applications, prefix_rows
-from qfdef.isotype import _close_wide, _Closure
+from qfdef.algebra import Algebra, applications
+from qfdef.isotype import _byte_rows, _close_wide, _Closure, _prefixes, _reader
 
 
 def reference_iso_type(alg, a):
@@ -114,11 +114,14 @@ def test_memo_serves_only_the_last_algebra():
 
 
 def test_prefix_rows_follow_applications_order():
+    # both read forms of `_prefixes`: table slices through `_reader`, as in
+    # `_close_wide`, and 256-byte rows through `translate`, as in `_Closure`
     rng = random.Random(7)
     n = 6
     for r in (1, 2, 3, 4):
         alg = Algebra(n, [("f", r, [0] * n**r)])
         offsets = tuple(range(n**r))  # a table whose every entry is its own offset
+        byte_rows = _byte_rows(tuple(off % 256 for off in offsets), n)
         for _ in range(40):
             m = rng.randint(1, n)
             known = rng.randint(0, m - 1)
@@ -130,8 +133,13 @@ def test_prefix_rows_follow_applications_order():
                 for l in lt:
                     off = off * n + values[l]
                 expected.append(off)
-            got = [x for rows, read in prefix_rows(values, known, r, n) for row in rows for x in read(offsets[row])]
+            prefixes = _prefixes(values, known, r, n, _reader(values[known:]), _reader(values))
+            got = [x for row, read in prefixes for x in read(offsets[row * n : row * n + n])]
             assert got == expected, (r, values, known)
+            universe = bytes(values)
+            prefixes = _prefixes(universe, known, r, n, universe[known:].translate, universe.translate)
+            got = b"".join(read(byte_rows[row]) for row, read in prefixes)
+            assert list(got) == [off % 256 for off in expected], (r, values, known)
 
 
 def test_key_equality_is_partition_equality():

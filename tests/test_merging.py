@@ -18,6 +18,7 @@ from qfdef import (
     iso_type,
     merging_decide,
     oracle_definable,
+    splitting_decide,
     subiso_from_signatures,
     try_merge_orbits,
 )
@@ -304,15 +305,20 @@ def type_grouping_definable(alg, rel):
 )
 def test_agreement_with_type_grouping_reference(alg, arity):
     # sizes and arities past the brute-force oracle: formula extensions, from
-    # 0 tuples to all of A^k, and their planted twins
+    # 0 tuples to all of A^k, and their planted twins; splitting's answers,
+    # formulas included, all carry a certificate
     verdicts = []
     for seed in range(6):
         rel = extension(alg, gen_random_formula(alg, arity, seed=seed), arity)
         planted = plant_negative(alg, rel, random.Random(seed))
         for r in (rel, planted):
+            expected = type_grouping_definable(alg, r)
             d = merging_decide(alg, r)
-            assert d.is_definable == type_grouping_definable(alg, r), (seed, r is planted)
+            assert d.is_definable == expected, (seed, r is planted)
             if not d.is_definable:
                 check_decision(alg, r, d)
+            s = splitting_decide(alg, r)
+            assert s.is_definable == expected, (seed, r is planted)
+            check_decision(alg, r, s)
             verdicts.append(d.is_definable)
     assert verdicts == [True, False] * 6

@@ -108,6 +108,20 @@ def test_graph_json_round_trip():
     assert graph_from_json(graph_to_json(g)) == g
 
 
+@pytest.mark.parametrize(
+    "doc, defect",
+    [
+        ({"vertices": 3, "edges": [[0]]}, "an edge is not a pair of vertex ids"),
+        ({"vertices": 3, "edges": [[0, 1], [0, 1, 2]]}, "an edge is not a pair of vertex ids"),
+        ({"vertices": 3}, "missing 'edges'"),
+        ({"vertices": 3, "edges": [5]}, "object of type 'int' has no len"),
+    ],
+)
+def test_graph_loader_rejects_malformed_documents(doc, defect):
+    with pytest.raises(ValueError, match="malformed graph document: " + defect):
+        graph_from_json(doc)
+
+
 def test_graph_star_tables():
     g = Graph.of(2, [(0, 1)])
     alg, emb = graph_star(g)
