@@ -26,6 +26,7 @@ from .algebra import (
     extension,
     format_formula,
     format_term,
+    generate_terms,
     load_algebra,
     load_relation,
     parse_formula,
@@ -67,6 +68,6 @@ from .preprocess import (
     rel_type,
     squash,
 )
-from .splitting import SplitStats, generate_terms, process_mixed_block, splitting_decide
+from .splitting import SplitStats, process_mixed_block, splitting_decide
 
 __version__ = "0.1.0"

@@ -643,19 +643,24 @@ def extension(alg: Algebra, phi: QfFormula, k: int) -> Relation:
     return Relation(k, frozenset(hits))
 
 
-def applications(
-    alg: Algebra, base: Sequence[int], fresh: set[int]
-) -> Iterator[tuple[Operation, list[tuple[int, ...]]]]:
-    """One semi-naive closure round in the canonical order, as (op, index tuples).
+def generate_terms(alg: Algebra, witnesses: Sequence[Term], new_witnesses: Sequence[Term]) -> list[Term]:
+    """One term layer in the canonical order: every operation applied to
+    `witnesses`, using at least one of `new_witnesses` (the others were
+    applied in an earlier layer).
 
     Operations come by arity, then declared symbol order; each gets the
-    argument tuples over `base`, lexicographically, that use a position
-    in `fresh` (the others were applied in an earlier round).
+    argument tuples over `witnesses`, lexicographically.  This is the order
+    of splitting's term refills and of `iso_type`'s closure rounds.
     """
+    if not new_witnesses:
+        raise ValueError("term generation needs at least one new witness")
+    new = set(new_witnesses)
+    terms: list[Term] = []
     for r in alg.arities:
-        index_tuples = [lt for lt in itertools.product(base, repeat=r) if not fresh.isdisjoint(lt)]
+        arg_tuples = [lt for lt in itertools.product(witnesses, repeat=r) if not new.isdisjoint(lt)]
         for op in alg.ops_of_arity(r):
-            yield op, index_tuples
+            terms += [App(op.symbol, lt) for lt in arg_tuples]
+    return terms
 
 
 def sg(alg: Algebra, a: Sequence[int]) -> frozenset[int]:
@@ -875,13 +880,21 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def algebra_from_json(doc: dict) -> Algebra:
+    if type(doc) is not dict:
+        raise ValueError(f"malformed algebra document: expected an object, got {type(doc).__name__}")
     try:
-        size = doc["size"]
-        ops = [(sym, spec["arity"], tuple(spec["table"])) for sym, spec in doc["operations"].items()]
+        size, operations = doc["size"], doc["operations"]
+        if type(operations) is not dict:
+            raise ValueError("malformed algebra document: operations must be an object")
+        ops = []
+        for sym, spec in operations.items():
+            if type(spec) is not dict:
+                raise ValueError(f"malformed algebra document: operation {sym!r} is not an object")
+            if type(spec["table"]) is not list:
+                raise ValueError(f"malformed algebra document: the table of operation {sym!r} is not a list")
+            ops.append((sym, spec["arity"], spec["table"]))
     except KeyError as e:
         raise ValueError(f"malformed algebra document: missing {e}") from None
-    except (TypeError, AttributeError) as e:
-        raise ValueError(f"malformed algebra document: {e}") from None
     return Algebra(size, ops, element_names=doc.get("elements"))
 
 

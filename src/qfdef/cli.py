@@ -107,7 +107,7 @@ def _cmd_isotype(args) -> int:
         "depth": sig.depth,
     }
     if terms is not None:
-        doc["terms"] = list(terms)
+        doc["terms"] = [str(t) for t in terms]
     print(json.dumps(doc, ensure_ascii=False))
     return EXIT_DEFINABLE
 

@@ -1,10 +1,11 @@
 """Isomorphism types of tuples: canonical key plus generated universe.
 
-The closure reads whole operation-table rows round by round, in a fixed
-canonical order, and numbers the values by first appearance, their
-rank.  The key lists the rank of the value at every closure position:
-the ranks of the tuple's own entries, then the operation tables of sg(a)
-relabelled by rank, entry by entry in the canonical application order.
+The closure reads whole operation-table rows round by round, in the
+canonical order in which `algebra.generate_terms` lists a term layer,
+and numbers the values by first appearance, their rank.  The key lists
+the rank of the value at every closure position: the ranks of the
+tuple's own entries, then the operation tables of sg(a) relabelled by
+rank, entry by entry in that order.
 It is a canonical form in the sense of McKay and Piperno ("Practical
 graph isomorphism II", 2014).  Two tuples get the same key exactly when
 they are connected by an isomorphism between the substructures they
@@ -25,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import Algebra, applications
+from .algebra import Algebra, Term, Var, generate_terms
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,10 @@ def _prefixes(
     universe: Sequence[int], known: int, r: int, n: int, read_new: Callable, read_all: Callable
 ) -> list[tuple[int, Callable]]:
     """(row index, reader) for each (r-1)-prefix of one round's r-ary
-    argument tuples over `universe`, fresh from `known` on, in `applications`
-    order: the prefix's row in a row-major table with n columns, read at
-    every value by `read_all` if the prefix holds a fresh value and at the
-    fresh values only by `read_new` if not."""
+    argument tuples over `universe`, fresh from `known` on, in the order of
+    `generate_terms`: the prefix's row in a row-major table with n columns,
+    read at every value by `read_all` if the prefix holds a fresh value and
+    at the fresh values only by `read_new` if not."""
     rows = [(0, read_new)]
     for _ in range(r - 1):
         rows = [(row * n + v, read_all if i >= known else read) for row, read in rows for i, v in enumerate(universe)]
@@ -181,10 +182,11 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
     """Canonical isomorphism type of `a`; pure and deterministic.
 
     Closure position i holds the i-th value produced: the entries of `a`,
-    then each round of `applications` over the values found so far, up to
-    the first round that adds no new value.  A round is semi-naive
-    (Bancilhon and Ramakrishnan, 1986) and reads whole table rows, as
-    `_Closure` sets out.  A value keeps the rank of its first appearance.
+    then each round over the values found so far, in the order in which
+    `generate_terms` lists a term layer, up to the first round that adds
+    no new value.  A round is semi-naive (Bancilhon and Ramakrishnan,
+    1986) and reads whole table rows, as `_Closure` sets out.  A value
+    keeps the rank of its first appearance.
 
     A one-entry memo holds the last algebra with its `_Closure`, so all
     the calls of one decision read the rows that the first call sliced.
@@ -208,22 +210,21 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
     return IsoSignature(key=key, universe=universe, depth=depth)
 
 
-def iso_type_terms(alg: Algebra, a: Sequence[int]) -> tuple[IsoSignature, tuple[str, ...]]:
+def iso_type_terms(alg: Algebra, a: Sequence[int]) -> tuple[IsoSignature, tuple[Term, ...]]:
     """Trace variant: also the term evaluated at each closure position.
 
     The terms are rebuilt by replaying the closure's rounds: the positions
     first appearing in a round are the partition's block minima that fall
-    inside it, and they feed the next round's `applications`.
+    inside it, and their terms are the next round's new witnesses for
+    `generate_terms`.
     """
     sig = iso_type(alg, a)
     firsts = [block[0] for block in sig.partition]
-    terms = [f"x{i}" for i in range(len(a))]
+    terms: list[Term] = [Var(i) for i in range(len(a))]
     lo = 0
     for _ in range(sig.depth):
         hi = bisect.bisect_left(firsts, len(terms))
-        for op, index_tuples in applications(alg, firsts[:hi], set(firsts[lo:hi])):
-            for lt in index_tuples:
-                terms.append(op.symbol + "(" + ",".join(terms[l] for l in lt) + ")")
+        terms += generate_terms(alg, [terms[f] for f in firsts[:hi]], [terms[f] for f in firsts[lo:hi]])
         lo = hi
     return sig, tuple(terms)
 

@@ -153,14 +153,18 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(doc: dict) -> Graph:
+    if type(doc) is not dict:
+        raise ValueError(f"malformed graph document: expected an object, got {type(doc).__name__}")
     try:
-        if not all(len(e) == 2 for e in doc["edges"]):
-            raise ValueError("malformed graph document: an edge is not a pair of vertex ids")
-        return Graph.of(doc["vertices"], doc["edges"])
+        vertices, edges = doc["vertices"], doc["edges"]
     except KeyError as e:
         raise ValueError(f"malformed graph document: missing {e}") from None
-    except TypeError as e:
-        raise ValueError(f"malformed graph document: {e}") from None
+    if type(edges) is not list:
+        raise ValueError("malformed graph document: edges must be a list")
+    # bool is no vertex id either
+    if not all(type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges):
+        raise ValueError("malformed graph document: an edge is not a pair of vertex ids")
+    return Graph.of(vertices, edges)
 
 
 def load_graph(path: str) -> Graph:

@@ -44,14 +44,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .algebra import (
     FALSE,
     TRUE,
     Algebra,
     And,
-    App,
     Eq,
     Not,
     Or,
@@ -60,8 +59,8 @@ from .algebra import (
     TermColumns,
     Term,
     Var,
-    applications,
     extension,
+    generate_terms,
     permutation_columns,
     product_columns,
     tuple_codes,
@@ -139,23 +138,6 @@ class SplitStats:
     refills: int = 0
     full_blocks: int = 0
     max_depth: int = 0
-
-
-def generate_terms(
-    alg: Algebra, witnesses: Sequence[Term], new_witnesses: Sequence[Term]
-) -> list[Term]:
-    """Next layer of terms: every operation applied to witnesses, using at
-    least one new witness, in the canonical order of `applications`, the
-    order in which `iso_type` closes a tuple."""
-    if not new_witnesses:
-        raise ValueError("term generation needs at least one new witness")
-    new_set = set(new_witnesses)
-    new_positions = {i for i, w in enumerate(witnesses) if w in new_set}
-    return [
-        App(op.symbol, tuple(witnesses[l] for l in lt))
-        for op, index_tuples in applications(alg, range(len(witnesses)), new_positions)
-        for lt in index_tuples
-    ]
 
 
 def process_mixed_block(
@@ -294,15 +276,10 @@ class _DebugChecker:
 
     def _all_terms(self, depth: int) -> list[Term]:
         terms: list[Term] = [Var(i) for i in range(self.k)]
-        seen = set(terms)
+        layer = tuple(terms)
         for _ in range(depth):
-            prev = list(terms)
-            for op in self.alg.ops:
-                for args in itertools.product(prev, repeat=op.arity):
-                    t = App(op.symbol, args)
-                    if t not in seen:
-                        seen.add(t)
-                        terms.append(t)
+            layer = generate_terms(self.alg, terms, layer)
+            terms += layer
         return terms
 
     def _check_term_representation(self, b: Block, columns: TermColumns) -> None:

@@ -236,9 +236,18 @@ def test_json_loaders_reject_malformed_documents():
     for doc in ([1], "r", None):
         with pytest.raises(ValueError, match="malformed relation document: expected an object"):
             relation_from_json(doc)
-    for operations in ({"f": 5}, {"f": {"arity": 1, "table": 5}}, [["f", 1, [0, 1]]]):
-        with pytest.raises(ValueError, match="malformed algebra document"):
+    for operations, defect in (
+        ({"f": 5}, "operation 'f' is not an object"),
+        ({"f": [1, [0, 1]]}, "operation 'f' is not an object"),
+        ({"f": {"arity": 1, "table": 5}}, "the table of operation 'f' is not a list"),
+        ({"f": {"arity": 1, "table": "01"}}, "the table of operation 'f' is not a list"),
+        ([["f", 1, [0, 1]]], "operations must be an object"),
+    ):
+        with pytest.raises(ValueError, match="malformed algebra document: " + defect):
             algebra_from_json({"size": 2, "operations": operations})
+    for doc in ([1], "a", None):
+        with pytest.raises(ValueError, match="malformed algebra document: expected an object"):
+            algebra_from_json(doc)
     for elements in (5, "ab", {"a": 0}):
         with pytest.raises(ValueError, match="sequence of strings"):
             algebra_from_json({"size": 2, "elements": elements, "operations": {}})

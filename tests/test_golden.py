@@ -105,7 +105,7 @@ def test_splitting_trace_and_counters_match_golden_digest():
 # ---------------------------------------------------------------------------
 
 # Recorded from the closure with a term-collecting flag that preceded the
-# shared `applications` enumeration.
+# shared enumeration of `generate_terms`.
 ISOTYPE_GOLDEN_SHA256 = "0f17559515f2bcc825e6faffc5d08aee04d2926e46e324bb557207004d6b4d3f"
 
 
@@ -126,7 +126,7 @@ def isotype_golden_lines():
                 sig = iso_type(alg, a)
                 traced, terms = iso_type_terms(alg, a)
                 assert traced == sig
-                yield f"{i} {a} {sig.partition} {sig.universe} {sig.depth} {','.join(terms)}"
+                yield f"{i} {a} {sig.partition} {sig.universe} {sig.depth} {','.join(map(str, terms))}"
 
 
 def test_iso_type_matches_golden_digest():

@@ -6,7 +6,9 @@ from qfdef import (
     Algebra,
     IsoTypeCache,
     Subisomorphism,
+    Var,
     enumerate_subisomorphisms,
+    eval_term,
     gen_random_algebra,
     iso_type,
     sg,
@@ -67,17 +69,15 @@ def test_empty_tuple_rejected(diamond):
 
 
 def _assert_terms_coordinate(alg, a):
-    from qfdef import eval_term, parse_term
-
     sig, terms = iso_type_terms(alg, a)
     assert sig == iso_type(alg, a)
-    assert terms[: len(a)] == tuple(f"x{i}" for i in range(len(a)))
+    assert terms[: len(a)] == tuple(Var(i) for i in range(len(a)))
     assert len(terms) == sum(len(block) for block in sig.partition)
     # every recorded term evaluates to the value at its index, which is
     # the universe element of the partition block holding that index
     for j, block in enumerate(sig.partition):
         for i in block:
-            assert eval_term(alg, parse_term(terms[i]), a) == sig.universe[j]
+            assert eval_term(alg, terms[i], a) == sig.universe[j]
 
 
 def test_trace_terms_coordinate_with_values(diamond):
@@ -85,8 +85,10 @@ def test_trace_terms_coordinate_with_values(diamond):
 
     _assert_terms_coordinate(diamond, (1, 2, 0))
     assert len(iso_type_terms(diamond, (1, 2, 0))[1]) == 35
-    # algebras with constants and unary, binary and ternary symbols
-    for alg in isotype_golden_algebras():
+    # algebras with constants and unary, binary and ternary symbols, and one
+    # that declares a quaternary symbol before its binary one
+    arity_4 = gen_random_algebra(3, signature=(("q", 4), ("f", 2)), seed=16)
+    for alg in (*isotype_golden_algebras(), arity_4):
         for k in (1, 2, 3):
             for a in itertools.islice(itertools.product(range(alg.size), repeat=k), 0, None, 7):
                 _assert_terms_coordinate(alg, a)

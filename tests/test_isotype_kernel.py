@@ -1,9 +1,11 @@
 """The rank-coded `iso_type` kernel against a reference closure.
 
-The reference walks `applications` position by position, evaluates
-through `Operation.value` and records the index blocks of equal values.
-The kernel must agree with it on key (as a partition), universe and
-depth.
+The reference walks `positions`, a test-local enumeration of the
+canonical order, position by position, evaluates through
+`Operation.value` and records the index blocks of equal values.  The
+kernel must agree with it on key (as a partition), universe and depth.
+The kernel's row order (`_prefixes`) and the term layers of
+`generate_terms` are both tied to `positions` as well.
 """
 
 import itertools
@@ -12,8 +14,17 @@ import random
 import pytest
 
 from qfdef import gen_abelian_group, gen_random_algebra, iso_type, sg
-from qfdef.algebra import Algebra, applications
+from qfdef.algebra import Algebra, App, Var, generate_terms
 from qfdef.isotype import _byte_rows, _close_wide, _Closure, _prefixes, _reader
+
+
+def positions(alg, base, fresh):
+    """One closure round in the canonical order, as (op, index tuples):
+    operations by arity, in declared order among equal arities (a stable
+    sort), each over the tuples of `base`, lexicographically, that use a
+    position in `fresh`."""
+    for op in sorted(alg.ops, key=lambda op: op.arity):
+        yield op, [lt for lt in itertools.product(base, repeat=op.arity) if any(l in fresh for l in lt)]
 
 
 def reference_iso_type(alg, a):
@@ -40,7 +51,7 @@ def reference_iso_type(alg, a):
             break
         produced = [
             op.value([values[l] for l in lt])
-            for op, index_tuples in applications(alg, firsts, set(firsts[known:]))
+            for op, index_tuples in positions(alg, firsts, set(firsts[known:]))
             for lt in index_tuples
         ]
     return tuple(map(tuple, blocks)), tuple(values[j] for j in firsts), depth
@@ -113,9 +124,20 @@ def test_memo_serves_only_the_last_algebra():
             a = rng.choice(tuples)
 
 
+def _layer(alg, witnesses, fresh):
+    """The term layer `positions` lists over `witnesses` for the fresh positions."""
+    return [
+        App(op.symbol, tuple(witnesses[l] for l in lt))
+        for op, tuples in positions(alg, range(len(witnesses)), fresh)
+        for lt in tuples
+    ]
+
+
 def test_prefix_rows_follow_applications_order():
     # both read forms of `_prefixes`: table slices through `_reader`, as in
-    # `_close_wide`, and 256-byte rows through `translate`, as in `_Closure`
+    # `_close_wide`, and 256-byte rows through `translate`, as in `_Closure`;
+    # and `generate_terms` over variables, its new witnesses a suffix of the
+    # witnesses, as in a closure round, or any other nonempty subset
     rng = random.Random(7)
     n = 6
     for r in (1, 2, 3, 4):
@@ -126,7 +148,7 @@ def test_prefix_rows_follow_applications_order():
             m = rng.randint(1, n)
             known = rng.randint(0, m - 1)
             values = rng.sample(range(n), m)
-            (_, index_tuples), = applications(alg, range(m), set(range(known, m)))
+            (_, index_tuples), = positions(alg, range(m), set(range(known, m)))
             expected = []
             for lt in index_tuples:
                 off = 0
@@ -140,6 +162,17 @@ def test_prefix_rows_follow_applications_order():
             prefixes = _prefixes(universe, known, r, n, universe[known:].translate, universe.translate)
             got = b"".join(read(byte_rows[row]) for row, read in prefixes)
             assert list(got) == [off % 256 for off in expected], (r, values, known)
+            witnesses = [Var(i) for i in range(m)]
+            for fresh in (set(range(known, m)), set(rng.sample(range(m), rng.randint(1, m)))):
+                new = [witnesses[l] for l in sorted(fresh)]
+                assert generate_terms(alg, witnesses, new) == _layer(alg, witnesses, fresh), (r, m, fresh)
+    # several operations of each arity, declared out of arity order
+    mixed = gen_random_algebra(2, signature=(("q", 4), ("f", 2), ("u", 1), ("g", 2), ("h", 3)), seed=0)
+    for m in (1, 2, 3):
+        witnesses = [Var(i) for i in range(m)]
+        for fresh in (set(range(m)), {m - 1}, {0}):
+            new = [witnesses[l] for l in sorted(fresh)]
+            assert generate_terms(mixed, witnesses, new) == _layer(mixed, witnesses, fresh), (m, fresh)
 
 
 def test_key_equality_is_partition_equality():

@@ -114,7 +114,13 @@ def test_graph_json_round_trip():
         ({"vertices": 3, "edges": [[0]]}, "an edge is not a pair of vertex ids"),
         ({"vertices": 3, "edges": [[0, 1], [0, 1, 2]]}, "an edge is not a pair of vertex ids"),
         ({"vertices": 3}, "missing 'edges'"),
-        ({"vertices": 3, "edges": [5]}, "object of type 'int' has no len"),
+        ({"vertices": 3, "edges": [5]}, "an edge is not a pair of vertex ids"),
+        # a string and an object of length 2 are no pairs either
+        ({"vertices": 3, "edges": ["ab"]}, "an edge is not a pair of vertex ids"),
+        ({"vertices": 3, "edges": [{"a": 1, "b": 2}]}, "an edge is not a pair of vertex ids"),
+        ({"vertices": 3, "edges": [[0, None]]}, "an edge is not a pair of vertex ids"),
+        ({"vertices": 3, "edges": 5}, "edges must be a list"),
+        ([[0, 1]], "expected an object, got list"),
     ],
 )
 def test_graph_loader_rejects_malformed_documents(doc, defect):
