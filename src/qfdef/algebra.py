@@ -284,6 +284,10 @@ class Algebra:
         normalized: list[Operation] = []
         constants: set[str] = set()
         for symbol, arity, table in ops:
+            if type(symbol) is not str or not _SYMBOL.match(symbol):
+                raise ValueError(
+                    f"operation symbol {symbol!r} is not a name the formula grammar reads back as a symbol"
+                )
             if type(arity) is not int or arity < 0:
                 raise ValueError(f"operation {symbol!r} arity must be an integer >= 0, got {arity!r}")
             table = tuple(table)
@@ -431,19 +435,12 @@ def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
 def tuple_codes(tuples: Collection[Sequence[int]], n: int) -> Iterator[int]:
     """The codes a0*n**(k-1) + ... + a(k-1) of k-tuples over an n-element
     universe, in iteration order: they sort as their tuples do, and they
-    number the rows of `product_columns(n, k)`.  Lazy, one pass per position."""
+    number A**k for `merging.OrbitStore`.  Lazy, one pass per position."""
     codes = map(operator.itemgetter(0), tuples)
     for j in range(1, len(next(iter(tuples), ()))):
         shifted = map(operator.mul, codes, itertools.repeat(n))
         codes = map(operator.add, shifted, map(operator.itemgetter(j), tuples))
     return codes
-
-
-def product_columns(n: int, k: int) -> list[list[int]]:
-    """The variable columns of all of A**k in lexicographic order, so row r
-    is the k-tuple whose code is r.  Column j is a run of each value
-    n**(k-1-j) times, n**j times over, so it is built by repetition."""
-    return [_runs(range(n), n ** (k - 1 - j)) * n**j for j in range(k)]
 
 
 def permutation_columns(n: int, k: int) -> list[list[int]]:
@@ -514,7 +511,8 @@ class TermColumns:
     A set of rows is a mask in the same lanes, the top bit of lane i set
     for row i.  `agree(t, s)`, the mask of rows where two terms agree, is
     one xor of their columns and a zero-lane test over all rows at once;
-    `holds(phi)` combines such masks.  `full` is the mask of every row.
+    `holds(phi)` combines such masks, and `members(target)` is the mask of
+    the rows in a set of tuples.  `full` is the mask of every row.
     """
 
     def __init__(self, alg: Algebra, variables: Sequence[Sequence[int]]):
@@ -560,15 +558,6 @@ class TermColumns:
         if isinstance(phi, Or):
             return functools.reduce(operator.or_, map(self.holds, phi.children))
         raise TypeError(f"not a formula: {phi!r}")
-
-    def mask(self, rows: Iterable[int]) -> int:
-        """The mask of the given rows: one byte written per row."""
-        step = self.width // 8
-        lanes = bytearray(step * self.length)
-        top = memoryview(lanes)[step - 1 :: step]  # the byte of each lane's top bit
-        for i in rows:
-            top[i] = 0x80
-        return int.from_bytes(lanes, "little")
 
     def members(self, target: Collection[tuple[int, ...]]) -> int:
         """The mask of the rows in `target`: one C-level lookup per row."""
@@ -694,7 +683,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>!=|[()=,&|!])|(?P<bad>\S)")
+_NAME, _VARIABLE = r"[A-Za-z_][A-Za-z0-9_']*", r"x\d+"
+_TOKEN = re.compile(rf"(?P<name>{_NAME})|(?P<punct>!=|[()=,&|!])|(?P<bad>\S)")
+# README's SYM, a name that reads back as an operation symbol: neither a variable nor a keyword
+_SYMBOL = re.compile(rf"(?!(?:{_VARIABLE}|true|false)\Z){_NAME}\Z")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -704,7 +696,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
         kind = m.lastgroup
         word = m.group()
-        if kind == "name" and re.fullmatch(r"x\d+", word):
+        if kind == "name" and re.fullmatch(_VARIABLE, word):
             kind = "var"
         tokens.append((kind, word, m.start()))
     tokens.append(("eof", "", len(text)))

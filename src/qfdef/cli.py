@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 definable / success, 1 not definable, 2 usage error,
-3 enumeration budget exceeded.
+3 enumeration budget exceeded, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_DEFINABLE = 0
 EXIT_NOT_DEFINABLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_MEMORY = 4
 
 
 def _trace_printer(enabled: bool):
@@ -242,6 +243,10 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        # not 1, which would read as "not definable"
+        print("error: out of memory; the instance is too large for the memory available", file=sys.stderr)
+        return EXIT_MEMORY
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

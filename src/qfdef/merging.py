@@ -29,9 +29,9 @@ class OrbitStore:
     """Orbit partitions of the repetition-free tuples, as a union-find over tuple codes.
 
     A k-tuple's code is its base-n value over the universe
-    (`algebra.tuple_codes`, also splitting's row numbering) plus the
-    offset of arity k, so one flat `parent` forest covers every arity in
-    the spec (codes of tuples with repeated entries stay singletons).
+    (`algebra.tuple_codes`) plus the offset of arity k, so one flat
+    `parent` forest covers every arity in the spec (codes of tuples with
+    repeated entries stay singletons).
     Finds halve the path; a union hangs an untagged root under the other
     root, so a tagged root stays a root for the whole decision.  A
     tuple's membership vector is an int whose bit j says it lies in

@@ -15,16 +15,14 @@ This is partition refinement over an indexed space (Paige and Tarjan,
 is its k variable columns, and it evaluates each further term once into
 a column over all its rows: one int holding the term's value at row i in
 lane i, a byte per row up to n = 256.  All targets of arity k in a
-decision start on one kernel, whose rows follow the base-n codes
-`merging.OrbitStore` numbers tuples by: up to arity 2 all of A**k
-(`product_columns`, row r is code r), from arity 3 on just the
-repetition-free tuples (`permutation_columns`).  A block is a row mask,
-an int with one flag per row in the kernel's lanes; the initial block is
-the rows where no two variables agree, and target membership is one such
-mask.  A split is bit arithmetic over whole masks: the rows where the
-new term agrees with a witness are `rest & agree(t, s)`, one xor of the
-two columns and a zero-lane test, and they leave the rest by
-`rest ^= eq`.
+decision start on one kernel over the repetition-free k-tuples in
+lexicographic order (`permutation_columns`), at every arity.  A block is
+a row mask, an int with one flag per row in the kernel's lanes; the
+initial block is every row, and target membership is one such mask,
+`TermColumns.members`.  A split is bit arithmetic over whole masks: the
+rows where the new term agrees with a witness are `rest & agree(t, s)`,
+one xor of the two columns and a zero-lane test, and they leave the rest
+by `rest ^= eq`.
 
 Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's
@@ -62,16 +60,12 @@ from .algebra import (
     extension,
     generate_terms,
     permutation_columns,
-    product_columns,
-    tuple_codes,
 )
 from .decision import Decision, Definable, NotDefinable
 from .isotype import Subisomorphism, iso_type, subiso_from_signatures
 from .preprocess import assemble, decompose, expand, recombine
 
 Trace = Callable[[str], None]
-# a kernel, the mask of its repetition-free rows, and a target's membership mask on it
-BaseKernel = tuple[TermColumns, int, Callable[[frozenset], int]]
 
 # a popped mixed block holding less than this share of its space's rows
 # moves to a kernel over its own rows; set 0 to never and 2 to always move
@@ -84,9 +78,9 @@ class Block:
     `tuples` are the block's members as a row mask over the `TermColumns`
     space the block lives in (see `TermColumns`): the top bit of lane i
     is set when row i is a member, so `tuples.bit_count()` is the block's
-    size.  That space is the target arity's shared kernel (A**k, or its
-    repetition-free rows from arity 3 on), or, once an ancestor block was
-    compacted, just that ancestor's rows.
+    size.  That space is the target arity's shared kernel over the
+    repetition-free tuples, or, once an ancestor block was compacted, just
+    that ancestor's rows.
     `witnesses` are terms that pairwise disagree on every member tuple;
     `new_witnesses` are the witnesses added since the last term refill
     and drive the generation of the next term layer; `terms_to_process`
@@ -308,43 +302,25 @@ def _compact(columns: TermColumns, b: Block, target: frozenset) -> tuple[TermCol
     return columns, columns.members(target)
 
 
-def _base_kernel(alg: Algebra, k: int) -> BaseKernel:
-    """The kernel every target of arity k starts on, the mask of its
-    repetition-free rows, and the map from a target to its membership mask.
-    Up to k = 2 the kernel is all of A**k and a target's codes are its
-    rows.  From k = 3 on, where A**k holds more rows with a repeated entry
-    (40 of 64 at n = 4), it is just the repetition-free tuples, and a set
-    lookup per row beats a Python loop scattering the target's codes."""
-    n = alg.size
-    if k < 3:
-        columns = TermColumns(alg, product_columns(n, k))
-        distinct = columns.full & ~columns.agree(Var(0), Var(1)) if k == 2 else columns.full
-        return columns, distinct, lambda target: columns.mask(tuple_codes(target, n))
-    columns = TermColumns(alg, permutation_columns(n, k))
-    return columns, columns.full, columns.members
-
-
 def _single_target(
-    base: BaseKernel,
+    columns: TermColumns,
     target: frozenset[tuple[int, ...]],
-    k: int,
     stats: SplitStats,
     *,
     debug: bool = False,
     check_term_repr: bool = False,
     trace: Trace | None = None,
 ):
-    """Run the block loop on one repetition-free target from `base`, the
-    `_base_kernel` of arity k, which all targets of arity k share.
+    """Run the block loop on one repetition-free target from `columns`, the
+    kernel over the repetition-free k-tuples that all targets of arity k share.
 
     Returns (True, formula) or (False, (a, b, gamma)), the counterexample
     of the terminal mixed block.  Each pending block travels with its
     kernel and that kernel's membership mask.
     """
-    columns, distinct, membership = base
-    alg, member = columns.alg, membership(target)
+    alg, k, member = columns.alg, columns.arity, columns.members(target)
     checker = _DebugChecker(alg, target, k, check_term_repr) if debug else None
-    initial = Block(distinct, (), (), [Var(i) for i in range(k)], (), 0)
+    initial = Block(columns.full, (), (), [Var(i) for i in range(k)], (), 0)
     stats.blocks_created += 1
     pending: deque[tuple[Block, TermColumns, int]] = deque([(initial, columns, member)])
     disjunct_blocks: list[tuple[Block, TermColumns]] = []
@@ -406,16 +382,15 @@ def splitting_decide(
     if not bundle.targets:
         return Definable(FALSE)
     parts = []
-    kernels: dict[int, BaseKernel] = {}
+    kernels: dict[int, TermColumns] = {}
     for target in bundle.targets:
         if trace:
             trace(f"target of arity {target.arity} with {len(target.tuples)} tuples")
         if target.arity not in kernels:
-            kernels[target.arity] = _base_kernel(alg, target.arity)
+            kernels[target.arity] = TermColumns(alg, permutation_columns(alg.size, target.arity))
         ok, payload = _single_target(
             kernels[target.arity],
             target.tuples,
-            target.arity,
             stats,
             debug=debug,
             check_term_repr=check_term_repr,

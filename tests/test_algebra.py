@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -163,6 +164,21 @@ def test_algebra_validation():
             Algebra(2, [], element_names=names)
     with pytest.raises(ValueError, match="strings"):
         Algebra(2, [], element_names=[0, 1])
+
+
+def test_operation_symbols_must_read_back_as_symbols():
+    # a variable, a keyword, punctuation, a space and the empty name would
+    # print formulas that parse_formula misreads or rejects
+    for symbol in ("x1", "true", "false", "+", "a b", ""):
+        message = f"operation symbol {re.escape(repr(symbol))} is not a name"
+        with pytest.raises(ValueError, match=message):
+            Algebra(2, [(symbol, 1, [0, 1])])
+        with pytest.raises(ValueError, match=message):
+            algebra_from_json({"size": 2, "operations": {symbol: {"arity": 1, "table": [0, 1]}}})
+    with pytest.raises(ValueError, match="operation symbol 1 is not a name"):
+        Algebra(2, [(1, 1, [0, 1])])
+    legal = ("f'", "x", "x1a", "x1'", "X1", "_", "truex")
+    assert [op.symbol for op in Algebra(2, [(s, 1, [0, 1]) for s in legal]).ops] == list(legal)
 
 
 def test_relation_validation(diamond):

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from qfdef import Relation, diamond_lattice, save_algebra, save_relation
+from qfdef import (
+    Algebra,
+    Definable,
+    Relation,
+    check_decision,
+    diamond_lattice,
+    parse_formula,
+    save_algebra,
+    save_relation,
+)
 from qfdef.cli import build_parser, main
 from qfdef.oracle import Graph, save_graph
 
@@ -281,3 +290,36 @@ def test_python_dash_m_runs_the_cli(capsys, diamond_files):
     proc = subprocess.run([sys.executable, "-m", "qfdef", *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == run(capsys, argv)[1]
+
+
+def test_gen_random_rejects_a_symbol_that_reads_as_a_variable(tmp_path):
+    proc = _run_cli(["gen", "random", "--size", "3", "--signature", "x1:1", "--out", str(tmp_path / "a.json")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "'x1'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_an_odd_legal_symbol_round_trips_through_the_printed_formula(capsys, tmp_path):
+    # f' swaps 0 and 1 and fixes 2, so {(0, 1), (1, 0)} is the extension of f'(x0)=x1
+    alg = Algebra(3, [("f'", 1, [1, 0, 2])])
+    rel = Relation.of(2, [(0, 1), (1, 0)])
+    alg_path, rel_path = tmp_path / "a.json", tmp_path / "r.json"
+    save_algebra(alg, str(alg_path))
+    save_relation(rel, str(rel_path))
+    code, out = run(capsys, ["decide", "--strategy", "splitting", "--algebra", str(alg_path), "--relation", str(rel_path)])
+    assert code == 0
+    text = json.loads(out)["formula"]
+    assert "f'(" in text
+    check_decision(alg, rel, Definable(parse_formula(text)))
+
+
+@pytest.mark.parametrize("strategy", ["merging", "splitting"])
+def test_decide_out_of_memory_exits_4(capsys, diamond_files, monkeypatch, strategy):
+    # 1 would read as "not definable"
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qfdef.cli.merging_decide", exhausted)
+    monkeypatch.setattr("qfdef.cli.splitting_decide", exhausted)
+    alg, order, _ = diamond_files
+    assert main(["decide", "--strategy", strategy, "--algebra", alg, "--relation", order]) == 4
+    assert capsys.readouterr().err.startswith("error: out of memory")

@@ -27,8 +27,8 @@ from qfdef import (
     splitting_decide,
 )
 import qfdef.splitting
-from qfdef.algebra import TermColumns
-from qfdef.splitting import Block, _DebugChecker, _base_kernel, extract_counterexample
+from qfdef.algebra import TermColumns, permutation_columns
+from qfdef.splitting import Block, _DebugChecker, extract_counterexample
 
 from conftest import plant_negative, random_instance
 from test_golden import golden_instances
@@ -209,7 +209,7 @@ def test_extract_counterexample_reads_the_least_rows_of_a_restricted_kernel():
     # a terminal block holds tuples of one type: take a largest type of
     # boolean-16 triples (36 rows), keep every other row, split it both ways
     alg = gen_boolean_algebra(4)
-    columns, _, _ = _base_kernel(alg, 3)
+    columns = TermColumns(alg, permutation_columns(alg.size, 3))
     by_type: dict = {}
     for row, a in enumerate(columns.tuples(range(columns.length))):
         by_type.setdefault(iso_type(alg, a).key, []).append(row)
@@ -253,7 +253,7 @@ def test_debug_checker_rejects_a_split_of_isomorphic_tuples(diamond):
     checker = _DebugChecker(diamond, frozenset(), 2, False)
 
     def block(t):
-        return Block(columns.mask([space.index(t)]), (), (), [], (), 1)
+        return Block(columns.members({t}), (), (), [], (), 1)
 
     with pytest.raises(AssertionError, match="isomorphic"):
         checker.check_split([block((0, 1)), block((0, 2))], columns)
@@ -287,20 +287,30 @@ def test_compaction_changes_no_decision_trace_or_counter(monkeypatch):
     assert run(debug=True)[-20:] == default[-20:]
 
 
-@pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (5, 5), (4, 3), (6, 3), (6, 4), (5, 2)])
-def test_base_kernel_keeps_the_repetition_free_rows_from_arity_3(n, k):
-    # A**k has n**k rows and n!/(n-k)! of them are repetition-free (6 of 27
-    # at n = k = 3, 120 of 3125 at n = k = 5); both algebras have
+@pytest.mark.parametrize(
+    "n,k", [(5, 1), (5, 2), (8, 2), (16, 2), (3, 3), (4, 4), (5, 5), (4, 3), (6, 3), (6, 4)]
+)
+def test_every_splitting_kernel_holds_only_the_repetition_free_rows(n, k, monkeypatch):
+    # A**k has n**k rows and n!/(n-k)! of them are repetition-free (20 of 25
+    # at n = 5, k = 2, 120 of 3125 at n = k = 5); both algebras have
     # automorphisms, so planted negatives exist
+    base, compacted = [], []
+    single_target, compact = qfdef.splitting._single_target, qfdef.splitting._compact
+
+    def spy_single_target(columns, *args, **kwargs):
+        base.append(columns)
+        return single_target(columns, *args, **kwargs)
+
+    def spy_compact(*args):
+        columns, member = compact(*args)
+        compacted.append(columns)
+        return columns, member
+
+    monkeypatch.setattr(qfdef.splitting, "_single_target", spy_single_target)
+    monkeypatch.setattr(qfdef.splitting, "_compact", spy_compact)
+    monkeypatch.setattr(qfdef.splitting, "COMPACT_SHARE", 2)  # at every popped mixed block
     succ = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)])])
     for alg in (gen_abelian_group((n,)), succ):
-        columns, distinct, membership = _base_kernel(alg, k)
-        perms = list(itertools.permutations(range(n), k))
-        assert columns.tuples(columns.rows(distinct)) == perms
-        # from arity 3 on no mask spans the rows with a repeated entry
-        assert columns.length == (len(perms) if k >= 3 else n**k)
-        target = frozenset(perms[::3])
-        assert columns.tuples(columns.rows(membership(target))) == sorted(target)
         for seed in range(3):
             rel = extension(alg, gen_random_formula(alg, k, seed=seed), k)
             for target in (rel, plant_negative(alg, rel, random.Random(seed))):
@@ -309,3 +319,14 @@ def test_base_kernel_keeps_the_repetition_free_rows_from_arity_3(n, k):
                 d = splitting_decide(alg, target)
                 check_decision(alg, target, d)
                 assert d.is_definable == merging_decide(alg, target).is_definable
+    # decompose also yields targets of lower arity, from tuples with a repeated entry
+    assert k in {columns.arity for columns in base} and compacted
+    for columns in base:
+        perms = list(itertools.permutations(range(n), columns.arity))
+        assert columns.length == len(perms)
+        assert columns.tuples(range(columns.length)) == perms
+        target = frozenset(perms[::3])
+        assert columns.tuples(columns.rows(columns.members(target))) == sorted(target)
+    for columns in compacted:
+        space = columns.tuples(range(columns.length))
+        assert space == sorted(space) and all(len(set(a)) == columns.arity for a in space)

@@ -29,7 +29,6 @@ from qfdef.algebra import (
     TermColumns,
     pack,
     permutation_columns,
-    product_columns,
     tuple_codes,
     unpack,
 )
@@ -84,7 +83,7 @@ def test_holds_matches_eval_formula():
     for seed in range(6):
         alg = gen_random_algebra(4, SIGNATURE, seed=seed)
         space = list(itertools.product(range(4), repeat=2))
-        kernel = TermColumns(alg, product_columns(4, 2))
+        kernel = TermColumns(alg, transposed(space, 2))
         phi, psi = gen_random_formula(alg, 2, seed=seed), gen_random_formula(alg, 2, seed=seed + 6)
         for f in (phi, TRUE, FALSE, Not(phi), And((phi, psi, Not(psi))), Or((psi, Not(phi), FALSE))):
             assert kernel.rows(kernel.holds(f)) == [i for i, a in enumerate(space) if eval_formula(alg, f, a)], f
@@ -151,7 +150,7 @@ def test_masks_at_lane_width_boundaries(n):
     phi = Or((And((Eq(terms[2], x1), Not(Eq(x0, x1)))), Eq(terms[4], terms[3]), FALSE))
     assert kernel.rows(kernel.holds(phi)) == [i for i, a in enumerate(space) if eval_formula(alg, phi, a)]
     rows = [i for i, (x, y) in enumerate(space) if x < y]
-    assert kernel.rows(kernel.mask(rows)) == rows
+    assert kernel.rows(kernel.members({space[i] for i in rows})) == rows
 
 
 def test_pack_puts_value_i_in_lane_i():
@@ -167,7 +166,7 @@ def test_pack_puts_value_i_in_lane_i():
 def test_an_evaluated_column_retains_one_lane_per_row(n):
     # 4,096 rows in 8-bit lanes at n = 64, 66,049 rows in 16-bit lanes at n = 257
     alg = Algebra(n, [("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)])])
-    kernel = TermColumns(alg, product_columns(n, 2))
+    kernel = TermColumns(alg, transposed(list(itertools.product(range(n), repeat=2)), 2))
     x0, x1 = Var(0), Var(1)
     kernel.agree(App("m", (x1, x0)), x0)  # a first evaluation builds the table rows the kernel keeps
     t = App("m", (x0, x1))
@@ -206,22 +205,19 @@ def test_product_space_rows_and_variable_columns(n, k):
     # 8-bit lanes up to n = 256, 16-bit lanes from 257
     tuples = list(itertools.product(range(n), repeat=k))
     alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("h", 1, [x // 2 for x in range(n)])])
-    kernel, listed = TermColumns(alg, product_columns(n, k)), TermColumns(alg, transposed(tuples, k))
+    kernel = TermColumns(alg, transposed(tuples, k))
     assert kernel.length == len(tuples)
     assert kernel.width == (8 if n <= 256 else 16)
     for j in range(k):
         assert values(kernel, Var(j)) == [t[j] for t in tuples]
-        assert kernel.column(Var(j)) == listed.column(Var(j))
     assert kernel.tuples(range(len(tuples))) == tuples
     sample = random.Random(n * 10 + k).sample(range(len(tuples)), min(50, len(tuples)))
     assert kernel.tuples(sample) == [tuples[r] for r in sample]
-    # a tuple's code is its row, so sorted tuples code to 0, 1, 2, ...
+    # the base-n codes merging numbers tuples by: sorted tuples code to 0, 1, 2, ...
     assert list(tuple_codes(tuples, n)) == list(range(len(tuples)))
     for t in (App("s", (Var(k - 1),)), App("h", (App("s", (Var(0),)),))):
-        assert kernel.column(t) == listed.column(t)
-        assert kernel.agree(t, Var(0)) == listed.agree(t, Var(0))
-    codes = sorted(tuple_codes(set(tuples[r] for r in sample), n))
-    assert kernel.rows(kernel.mask(codes)) == codes
+        assert [values(kernel, t)[r] for r in sample] == [eval_term(alg, t, tuples[r]) for r in sample]
+    assert kernel.rows(kernel.members({tuples[r] for r in sample})) == sorted(sample)
     # restricting to rows gathers the variable columns and the seeded ones
     sub = kernel.restrict(sample, [Var(k - 1)])
     assert sub.tuples(range(len(sample))) == [tuples[r] for r in sample]
@@ -247,10 +243,8 @@ def test_kernels_from_columns_match_the_references(n):
     terms = [x0, x1, App("s", (x0,)), App("m", (x0, x1)), App("m", (App("s", (x1,)), x0)), App("m", (x1, x1))]
     rng = random.Random(n)
     kernels = []
-    for tuples, variables in (
-        (list(itertools.product(range(n), repeat=2)), product_columns(n, 2)),
-        (list(itertools.permutations(range(n), 2)), permutation_columns(n, 2)),
-    ):
+    pairs, perms = list(itertools.product(range(n), repeat=2)), list(itertools.permutations(range(n), 2))
+    for tuples, variables in ((pairs, transposed(pairs, 2)), (perms, permutation_columns(n, 2))):
         kernel = TermColumns(alg, variables)
         kernels.append((kernel, tuples))
         rows = sorted(rng.sample(range(len(tuples)), 500))
