@@ -5,7 +5,10 @@ names are an optional alias table kept for printing only.  Operation
 tables are dense row-major tuples, so evaluation is pure indexing.
 Arity-0 symbols are rewritten at construction time into unary constant
 operations (the rewrite is recorded so printing can restore the bare
-constant symbol).
+constant symbol).  Quantifier-free formulas are Boolean combinations of
+term equations with no constant nodes: `TRUE` is the empty And and
+`FALSE` the empty Or, so every walker handles them in its And/Or branch,
+and only the printer and the parser spell them `true` and `false`.
 """
 
 from __future__ import annotations
@@ -100,36 +103,6 @@ class QfFormula:
     __slots__ = ()
 
 
-class TrueFormula(QfFormula):
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is TrueFormula
-
-    def __hash__(self):
-        return hash("true")
-
-    def __repr__(self):
-        return "TRUE"
-
-
-class FalseFormula(QfFormula):
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is FalseFormula
-
-    def __hash__(self):
-        return hash("false")
-
-    def __repr__(self):
-        return "FALSE"
-
-
-TRUE = TrueFormula()
-FALSE = FalseFormula()
-
-
 class Eq(QfFormula):
     __slots__ = ("lhs", "rhs", "_hash")
 
@@ -170,8 +143,6 @@ class And(QfFormula):
 
     def __init__(self, children: Sequence[QfFormula]):
         self.children = tuple(children)
-        if not self.children:
-            raise ValueError("And needs at least one child")
         self._hash = hash(("and", self.children))
 
     def __eq__(self, other):
@@ -189,8 +160,6 @@ class Or(QfFormula):
 
     def __init__(self, children: Sequence[QfFormula]):
         self.children = tuple(children)
-        if not self.children:
-            raise ValueError("Or needs at least one child")
         self._hash = hash(("or", self.children))
 
     def __eq__(self, other):
@@ -203,9 +172,12 @@ class Or(QfFormula):
         return f"Or({list(self.children)!r})"
 
 
+# true and false are the empty conjunction and the empty disjunction
+TRUE = And(())
+FALSE = Or(())
+
+
 def formula_variables(phi: QfFormula) -> set[int]:
-    if isinstance(phi, (TrueFormula, FalseFormula)):
-        return set()
     if isinstance(phi, Eq):
         return term_variables(phi.lhs) | term_variables(phi.rhs)
     if isinstance(phi, Not):
@@ -229,8 +201,6 @@ def substitute_term(t: Term, mapping: dict[int, int]) -> Term:
 
 
 def substitute_formula(phi: QfFormula, mapping: dict[int, int]) -> QfFormula:
-    if isinstance(phi, (TrueFormula, FalseFormula)):
-        return phi
     if isinstance(phi, Eq):
         return Eq(substitute_term(phi.lhs, mapping), substitute_term(phi.rhs, mapping))
     if isinstance(phi, Not):
@@ -411,10 +381,6 @@ def eval_term(alg: Algebra, t: Term, a: Sequence[int]) -> int:
 
 
 def eval_formula(alg: Algebra, phi: QfFormula, a: Sequence[int]) -> bool:
-    if isinstance(phi, TrueFormula):
-        return True
-    if isinstance(phi, FalseFormula):
-        return False
     if isinstance(phi, Eq):
         return eval_term(alg, phi.lhs, a) == eval_term(alg, phi.rhs, a)
     if isinstance(phi, Not):
@@ -545,18 +511,14 @@ class TermColumns:
 
     def holds(self, phi: QfFormula) -> int:
         """The mask of the rows at which `phi` holds."""
-        if isinstance(phi, TrueFormula):
-            return self.full
-        if isinstance(phi, FalseFormula):
-            return 0
         if isinstance(phi, Eq):
             return self.agree(phi.lhs, phi.rhs)
         if isinstance(phi, Not):
             return self.full ^ self.holds(phi.inner)
         if isinstance(phi, And):
-            return functools.reduce(operator.and_, map(self.holds, phi.children))
+            return functools.reduce(operator.and_, map(self.holds, phi.children), self.full)
         if isinstance(phi, Or):
-            return functools.reduce(operator.or_, map(self.holds, phi.children))
+            return functools.reduce(operator.or_, map(self.holds, phi.children), 0)
         raise TypeError(f"not a formula: {phi!r}")
 
     def members(self, target: Collection[tuple[int, ...]]) -> int:
@@ -821,7 +783,7 @@ def _flatten(phi: QfFormula, cls) -> list[QfFormula]:
     stack = [phi]
     while stack:
         f = stack.pop()
-        if type(f) is cls:
+        if type(f) is cls and f.children:
             stack.extend(reversed(f.children))
         else:
             out.append(f)
@@ -829,25 +791,24 @@ def _flatten(phi: QfFormula, cls) -> list[QfFormula]:
 
 
 def format_formula(phi: QfFormula, constants: frozenset[str] | set[str] = frozenset()) -> str:
-    """Canonical text: And/Or flattened, '!=' restored, minimal parentheses."""
-    if isinstance(phi, TrueFormula):
-        return "true"
-    if isinstance(phi, FalseFormula):
-        return "false"
+    """Canonical text: And/Or flattened, '!=' restored, minimal parentheses.
+    The empty And and Or print as `true` and `false`, which need none."""
+    if isinstance(phi, (And, Or)) and not phi.children:
+        return "true" if isinstance(phi, And) else "false"
     if isinstance(phi, Eq):
         return f"{format_term(phi.lhs, constants)}={format_term(phi.rhs, constants)}"
     if isinstance(phi, Not):
         if isinstance(phi.inner, Eq):
             e = phi.inner
             return f"{format_term(e.lhs, constants)}!={format_term(e.rhs, constants)}"
-        if isinstance(phi.inner, (And, Or)):
+        if isinstance(phi.inner, (And, Or)) and phi.inner.children:
             return "!(" + format_formula(phi.inner, constants) + ")"
         return "!" + format_formula(phi.inner, constants)
     if isinstance(phi, And):
         parts = []
         for c in _flatten(phi, And):
             text = format_formula(c, constants)
-            parts.append(f"({text})" if isinstance(c, Or) else text)
+            parts.append(f"({text})" if isinstance(c, Or) and c.children else text)
         return "&".join(parts)
     if isinstance(phi, Or):
         return "|".join(format_formula(c, constants) for c in _flatten(phi, Or))

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import And, Eq, Not, QfFormula, Relation, Var, substitute_formula
+from .algebra import And, Eq, Not, Or, QfFormula, Relation, Var, substitute_formula
 from .algebra import Algebra, formula_variables
 
 
@@ -173,12 +173,6 @@ def recombine(pat: Pattern, phi: QfFormula, k: int) -> QfFormula:
 
 
 def assemble(results: Sequence[tuple[Pattern, QfFormula]], k: int) -> QfFormula:
-    """Disjunction of the per-pattern formulas; empty input denotes nothing."""
-    from .algebra import FALSE, Or
-
+    """Disjunction of the per-pattern formulas; empty input gives the empty Or."""
     formulas = [phi for _, phi in results]
-    if not formulas:
-        return FALSE
-    if len(formulas) == 1:
-        return formulas[0]
-    return Or(tuple(formulas))
+    return formulas[0] if len(formulas) == 1 else Or(formulas)

@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import (
-    FALSE,
-    TRUE,
     Algebra,
     And,
     Eq,
@@ -109,11 +107,7 @@ class Block:
 
     @property
     def formula(self) -> QfFormula:
-        if not self.literals:
-            return TRUE
-        if len(self.literals) == 1:
-            return self.literals[0]
-        return And(self.literals)
+        return self.literals[0] if len(self.literals) == 1 else And(self.literals)
 
     @property
     def is_terminal(self) -> bool:
@@ -355,10 +349,8 @@ def _single_target(
                 disjunct_blocks,
             )
         pending.extendleft((s, columns, member) for s in reversed(successors))
-    if not disjunct_blocks:
-        return True, FALSE
     formulas = [b.formula for b, _ in disjunct_blocks]
-    return True, (formulas[0] if len(formulas) == 1 else Or(tuple(formulas)))
+    return True, (formulas[0] if len(formulas) == 1 else Or(formulas))
 
 
 def splitting_decide(
@@ -379,8 +371,6 @@ def splitting_decide(
     if stats is None:
         stats = SplitStats()
     bundle = decompose(rel, alg.size)
-    if not bundle.targets:
-        return Definable(FALSE)
     parts = []
     kernels: dict[int, TermColumns] = {}
     for target in bundle.targets:

@@ -22,12 +22,14 @@ from qfdef import (
 from qfdef.algebra import (
     algebra_from_json,
     algebra_to_json,
+    formula_variables,
     load_algebra,
     load_relation,
     relation_from_json,
     relation_to_json,
     save_algebra,
     save_relation,
+    substitute_formula,
 )
 
 from conftest import DIAMOND_LEQ
@@ -87,6 +89,38 @@ def test_extension_is_the_order(diamond):
 def test_extension_trivia(diamond):
     assert extension(diamond, FALSE, 2).tuples == frozenset()
     assert extension(diamond, TRUE, 1).tuples == frozenset((a,) for a in range(4))
+
+
+def test_true_and_false_are_the_empty_and_and_or():
+    assert And(()) == And([]) == TRUE and hash(And([])) == hash(TRUE)
+    assert Or(()) == Or([]) == FALSE and hash(Or([])) == hash(FALSE)
+    assert TRUE != FALSE and TRUE.children == FALSE.children == ()
+    assert (repr(TRUE), repr(FALSE)) == ("And([])", "Or([])")
+
+
+def test_walkers_agree_on_empty_connectives(diamond):
+    swap = {0: 1, 1: 0}
+    pairs = list(itertools.product(range(4), repeat=2))
+    cases = [
+        (TRUE, pairs),
+        (FALSE, []),
+        (Not(TRUE), []),
+        (Not(FALSE), pairs),
+        (And((FALSE, ORDER_FORMULA)), []),
+        (Or((TRUE, ORDER_FORMULA)), pairs),
+        (And((TRUE, And((Or((FALSE, ORDER_FORMULA)),)))), sorted(DIAMOND_LEQ)),
+        (Not(Or((FALSE, And(()), Not(ORDER_FORMULA)))), []),
+        (Or((Not(And((ORDER_FORMULA, Or(())))), FALSE)), pairs),
+    ]
+    for phi, holds_at in cases:
+        assert extension(diamond, phi, 2).tuples == frozenset(holds_at), phi
+        assert [a for a in pairs if eval_formula(diamond, phi, a)] == holds_at, phi
+        swapped = substitute_formula(phi, swap)
+        assert [a for a in pairs if eval_formula(diamond, swapped, a[::-1])] == holds_at, phi
+        assert formula_variables(phi) == formula_variables(swapped)
+    assert substitute_formula(TRUE, swap) == TRUE and substitute_formula(FALSE, swap) == FALSE
+    assert formula_variables(Not(And((TRUE, Or((FALSE,)))))) == set()
+    assert formula_variables(Or((FALSE, And((TRUE, ORDER_FORMULA))))) == {0, 1}
 
 
 def test_extension_respects_connectives(diamond):

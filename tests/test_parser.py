@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,20 @@ def test_printing_flattens_and_restores():
     assert format_formula(Not(Or((TRUE, FALSE)))) == "!(true|false)"
 
 
+def test_printing_leaves_empty_connectives_alone():
+    eq = Eq(Var(0), Var(1))
+    for phi, text in (
+        (Not(TRUE), "!true"),
+        (Not(FALSE), "!false"),
+        (And((FALSE, eq)), "false&x0=x1"),
+        (Or((eq, TRUE)), "x0=x1|true"),
+        (And((And(()), eq)), "true&x0=x1"),
+        (Or((Or(()), eq)), "false|x0=x1"),
+    ):
+        assert format_formula(phi) == text
+        assert parse_formula(text) == phi
+
+
 def test_printing_restores_constant_symbols():
     t = App("e", (Var(0),))
     assert format_term(t, constants=frozenset({"e"})) == "e"
@@ -136,3 +151,55 @@ def test_terms_evaluate_identically_after_reparse():
             again = parse_term(format_term(t))
             for a in [(0, 1), (2, 2), (1, 0)]:
                 assert eval_term(alg, t, a) == eval_term(alg, again, a)
+
+
+# the grammar's tokens, with spaces; `x01` reads as x1 and `f'` as a symbol
+_FUZZ_TOKENS = ["x0", "x1", "x01", "f", "g", "f'", "e", "true", "false", "(", ")", ",", "=", "!=", "&", "|", "!", " "]
+
+
+def _merged(phi):
+    """`phi` with each non-empty And in an And, and Or in an Or, merged
+    into its parent, as printing merges them."""
+    if isinstance(phi, Not):
+        return Not(_merged(phi.inner))
+    if isinstance(phi, (And, Or)):
+        children = []
+        for c in map(_merged, phi.children):
+            children.extend(c.children if type(c) is type(phi) and c.children else (c,))
+        return type(phi)(children)
+    return phi
+
+
+def _fuzz_text(rng):
+    """Tokens at random, or a random derivation with a few tokens changed."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 12)))
+    tokens = re.findall(r"\w+|!=|\S", _random_formula_text(rng, rng.randint(0, 3)))
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(tokens) + 1)
+        action = rng.randrange(3)
+        if action == 0 and i < len(tokens):
+            del tokens[i]
+        elif action == 1 and i < len(tokens):
+            tokens[i] = rng.choice(_FUZZ_TOKENS)
+        else:
+            tokens.insert(i, rng.choice(_FUZZ_TOKENS))
+    return "".join(tokens)
+
+
+def test_parser_fuzz_raises_parse_error_or_round_trips():
+    rng = random.Random(2024)
+    parsed = 0
+    for _ in range(1000):
+        text = _fuzz_text(rng)
+        try:
+            phi = parse_formula(text)
+        except ParseError:
+            continue
+        parsed += 1
+        canonical = format_formula(phi)
+        again = parse_formula(canonical)
+        assert again == _merged(phi), text
+        assert format_formula(again) == canonical, text
+    # both outcomes are exercised
+    assert 200 <= parsed <= 800, parsed
