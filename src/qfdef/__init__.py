@@ -54,18 +54,15 @@ from .oracle import (
     graph_oracle_definable,
     graph_star,
     oracle_definable,
-    oracle_definable_raw,
 )
 from .preprocess import (
     Pattern,
     TargetBundle,
     assemble,
     decompose,
-    distinct_tuples,
     expand,
     pattern,
     recombine,
-    rel_type,
     squash,
 )
 from .splitting import SplitStats, process_mixed_block, splitting_decide

@@ -748,22 +748,25 @@ class _Parser:
         return items[0] if len(items) == 1 else Or(tuple(items))
 
 
-def parse_term(text: str) -> Term:
+def _parse(text: str, rule):
     p = _Parser(text)
-    t = p.term()
+    try:
+        out = rule(p)
+    except RecursionError:  # every '!', parenthesis and application recurses once
+        at = p.tokens[min(p.pos, len(p.tokens) - 1)][2]
+        raise ParseError("nested too deeply", at) from None
     kind, word, at = p.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {word!r}", at)
-    return t
+    return out
+
+
+def parse_term(text: str) -> Term:
+    return _parse(text, _Parser.term)
 
 
 def parse_formula(text: str) -> QfFormula:
-    p = _Parser(text)
-    phi = p.disjunction()
-    kind, word, at = p.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {word!r}", at)
-    return phi
+    return _parse(text, _Parser.disjunction)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def _cmd_decompose(args) -> int:
     rel = load_relation(args.relation)
     bundle = decompose(rel)
     doc = {
-        "arity": bundle.original_arity,
+        "arity": rel.arity,
         "spec": list(bundle.spec),
         "targets": [
             {"pattern": t.pattern.to_json(), "tuples": sorted(list(x) for x in t.tuples)}

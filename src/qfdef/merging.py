@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 from .algebra import FALSE, Algebra, Relation, tuple_codes
 from .decision import Decision, Definable, NotDefinable
 from .isotype import Subisomorphism, iso_type
-from .preprocess import TargetBundle, decompose, expand, rel_type
+from .preprocess import TargetBundle, decompose, expand
 
 Trace = Callable[[str], None]
 
@@ -77,11 +77,6 @@ class OrbitStore:
             parent[c] = c = parent[parent[c]]
         return c
 
-    def membership_vector(self, root: int) -> tuple[bool, ...]:
-        """The membership vector of an orbit, as `preprocess.rel_type` spells it."""
-        m = self.membership[root]
-        return tuple(bool(m >> j & 1) for j in range(len(self.bundle.targets)))
-
     def members(self, root: int, arity: int) -> list[tuple[int, ...]]:
         """The tuples of an orbit, in lexicographic order (a full scan)."""
         return [a for a in itertools.permutations(range(self.alg.size), arity) if self.orbit(a) == root]
@@ -130,7 +125,9 @@ class OrbitStore:
     def _check_orbit(self, root: int, arity: int) -> None:
         members = self.members(root, arity)
         for t in members:
-            if rel_type(t, self.bundle) != self.membership_vector(root):
+            # recomputed from the targets, not read from the list being checked
+            bits = sum(1 << j for j, target in enumerate(self.bundle.targets) if t in target.tuples)
+            if bits != self.membership[root]:
                 raise AssertionError("membership vector drift in an orbit")
         if root in self.type:
             donor_sig = iso_type(self.alg, self.universe_donor[root])

@@ -4,7 +4,9 @@ Everything here exists to be obviously correct rather than fast: all
 generated subuniverses are enumerated, all injective maps between
 same-size subuniverses are tried and validated by a full table scan,
 and a relation is declared definable exactly when no surviving map
-moves a target tuple out of the target.
+moves one of its tuples out of it.  The relation is checked as given:
+nothing here decomposes it or shares the deciders' preprocessing, so a
+fault there cannot hide from the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Iterator
 from .algebra import FALSE, Algebra, Relation, sg
 from .decision import Decision, Definable, NotDefinable
 from .isotype import Subisomorphism
-from .preprocess import decompose, expand
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -66,39 +67,15 @@ def enumerate_subisomorphisms(
 
 
 def oracle_definable(alg: Algebra, rel: Relation, *, budget: int = DEFAULT_BUDGET) -> Decision:
-    """Decide definability by exhaustive search over the decomposed target.
+    """Decide definability directly on the relation, with no preprocessing.
 
+    Enumerates isomorphisms between subuniverses generated by up to
+    arity-many elements and checks that each preserves the raw tuple set.
     Returns a counterexample map and witness pair in the negative case.
     Intended for small inputs only.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    rel.check_over(alg)
-    bundle = decompose(rel)
-    if not bundle.targets:
-        return Definable(FALSE)
-    kmax = max(bundle.spec)
-    for gamma in enumerate_subisomorphisms(alg, kmax, budget=budget):
-        dom = gamma.domain_set
-        for target in bundle.targets:
-            for a in sorted(target.tuples):
-                if not all(x in dom for x in a):
-                    continue
-                ga = gamma.map_tuple(a)
-                if ga not in target.tuples:
-                    return NotDefinable(
-                        expand(target.pattern, a), expand(target.pattern, ga), gamma
-                    )
-    return Definable(None)
-
-
-def oracle_definable_raw(alg: Algebra, rel: Relation, *, budget: int = DEFAULT_BUDGET) -> Decision:
-    """Decide definability directly on the relation, with no preprocessing.
-
-    Enumerates isomorphisms between subuniverses generated by up to
-    arity-many elements and checks preservation of the raw tuple set.
-    Kept independent of the decomposition path so the two can be compared.
-    """
     rel.check_over(alg)
     if not rel.tuples:
         return Definable(FALSE)

@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .algebra import And, Eq, Not, Or, QfFormula, Relation, Var, substitute_formula
-from .algebra import Algebra, formula_variables
+from .algebra import And, Eq, Not, Or, QfFormula, Relation, Var, formula_variables, substitute_formula
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class TargetBundle:
     membership vectors are comparable across runs.
     """
 
-    original_arity: int
     targets: tuple[BundleTarget, ...]
     spec: tuple[int, ...]
 
@@ -121,39 +119,17 @@ def decompose(rel: Relation, n: int | None = None) -> TargetBundle:
     ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
     targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)
     spec = tuple(sorted({t.arity for t in targets}))
-    return TargetBundle(rel.arity, targets, spec)
+    return TargetBundle(targets, spec)
 
 
-def rel_type(a: Sequence[int], bundle: TargetBundle) -> tuple[bool, ...]:
-    """Membership vector of a repetition-free tuple against every target.
-
-    A tuple whose length differs from a target's arity is counted as not
-    belonging to it, so one vector shape serves all tuples in the bundle.
-    """
-    a = tuple(a)
-    return tuple(len(a) == t.arity and a in t.tuples for t in bundle.targets)
-
-
-def distinct_tuples(alg: Algebra, k: int) -> Iterator[tuple[int, ...]]:
-    """All repetition-free k-tuples over the universe, lexicographically.
-
-    Empty when k exceeds the universe size.
-    """
-    if k < 1:
-        raise ValueError(f"arity must be >= 1, got {k}")
-    return itertools.permutations(range(alg.size), k)
-
-
-def recombine(pat: Pattern, phi: QfFormula, k: int) -> QfFormula:
-    """Lift a formula over the squashed positions back to arity k.
+def recombine(pat: Pattern, phi: QfFormula) -> QfFormula:
+    """Lift a formula over the squashed positions back to the pattern's arity.
 
     Variables x0..x{w-1} are renamed to the pattern's representative
     positions, equalities tie each block together, and disequalities
     separate the representatives, so the result holds exactly at the
-    k-tuples whose pattern is `pat` and whose squash satisfies `phi`.
+    tuples whose pattern is `pat` and whose squash satisfies `phi`.
     """
-    if pat.arity != k:
-        raise ValueError(f"pattern covers {pat.arity} positions, arity is {k}")
     bad = [i for i in formula_variables(phi) if i >= pat.width]
     if bad:
         raise ValueError(f"formula uses x{max(bad)} but the pattern has width {pat.width}")
@@ -172,7 +148,6 @@ def recombine(pat: Pattern, phi: QfFormula, k: int) -> QfFormula:
     return And((lifted, *literals))
 
 
-def assemble(results: Sequence[tuple[Pattern, QfFormula]], k: int) -> QfFormula:
+def assemble(formulas: Sequence[QfFormula]) -> QfFormula:
     """Disjunction of the per-pattern formulas; empty input gives the empty Or."""
-    formulas = [phi for _, phi in results]
     return formulas[0] if len(formulas) == 1 else Or(formulas)

@@ -389,5 +389,5 @@ def splitting_decide(
         if not ok:
             a, b, gamma = payload
             return NotDefinable(expand(target.pattern, a), expand(target.pattern, b), gamma)
-        parts.append((target.pattern, recombine(target.pattern, payload, rel.arity)))
-    return Definable(assemble(parts, rel.arity))
+        parts.append(recombine(target.pattern, payload))
+    return Definable(assemble(parts))

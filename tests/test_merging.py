@@ -23,7 +23,7 @@ from qfdef import (
     try_merge_orbits,
 )
 from qfdef.merging import OrbitStore
-from qfdef.preprocess import decompose, rel_type
+from qfdef.preprocess import decompose
 
 from conftest import plant_negative, random_instance
 
@@ -73,7 +73,7 @@ def test_try_merge_conflict_leaves_witness(diamond, diamond_rprime):
     assert not try_merge_orbits(gamma, store)
     a, ga = store.conflict
     assert gamma.map_tuple(a) == ga
-    assert store.membership_vector(store.orbit(a)) != store.membership_vector(store.orbit(ga))
+    assert store.membership[store.orbit(a)] != store.membership[store.orbit(ga)]
 
 
 def test_try_merge_merges_equal_rel_types(diamond, diamond_order):
@@ -84,7 +84,7 @@ def test_try_merge_merges_equal_rel_types(diamond, diamond_order):
     assert store.orbit((0, 1)) == store.orbit((0, 2))
     assert store.orbit((1, 3)) == store.orbit((2, 3))
     o = store.orbit((0, 1))
-    assert store.membership_vector(o) == (False, True)  # not diagonal, in the strict-order part
+    assert store.membership[o] == 0b10  # not in the diagonal target (bit 0), in the strict-order one
     assert {(0, 1), (0, 2)} <= set(store.members(o, 2))
 
 
@@ -131,7 +131,7 @@ def _naive_merge(orbits, bundle, spec, gamma):
             b = gamma.map_tuple(a)
             if orbits[a] is orbits[b]:
                 continue
-            if rel_type(a, bundle) != rel_type(b, bundle):
+            if [a in t.tuples for t in bundle.targets] != [b in t.tuples for t in bundle.targets]:
                 return (a, b)
             joined = orbits[a] | orbits[b]
             for t in joined:
@@ -236,9 +236,9 @@ def test_codes_are_dense_and_distinct(diamond):
     tuples = [a for k in store.spec for a in itertools.product(range(4), repeat=k)]
     # one code per tuple of every arity, filling the forest without gaps
     assert sorted(store.code(a) for a in tuples) == list(range(len(store.parent)))
-    assert store.membership_vector(store.orbit((0, 1, 2))) == (False, False, True)
-    assert store.membership_vector(store.orbit((0, 1))) == (False, True, False)
-    assert store.membership_vector(store.orbit((1, 0))) == (False, False, False)
+    assert store.membership[store.orbit((0, 1, 2))] == 0b100
+    assert store.membership[store.orbit((0, 1))] == 0b010
+    assert store.membership[store.orbit((1, 0))] == 0b000
 
 
 def test_debug_suite_catches_a_corrupted_store(diamond, diamond_order):

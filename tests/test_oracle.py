@@ -1,3 +1,4 @@
+import ast
 import itertools
 
 import pytest
@@ -15,9 +16,10 @@ from qfdef import (
     graph_star,
     merging_decide,
     oracle_definable,
-    oracle_definable_raw,
     splitting_decide,
 )
+import qfdef.decision
+import qfdef.oracle
 from qfdef.algebra import Algebra
 from qfdef.oracle import graph_from_json, graph_to_json
 
@@ -79,20 +81,11 @@ def test_oracle_empty_relation(diamond):
     assert d.is_definable and d.formula == FALSE
 
 
-def test_oracle_raw_agrees_with_decomposed():
-    from conftest import random_instance
-
-    for i in range(20):
-        alg, rel = random_instance(i, max_size=4)
-        assert (
-            oracle_definable(alg, rel).is_definable
-            == oracle_definable_raw(alg, rel).is_definable
-        ), i
-
-
 def test_budget_guard(diamond, diamond_order):
     with pytest.raises(BudgetExceededError):
         oracle_definable(diamond, diamond_order, budget=10)
+    with pytest.raises(ValueError, match="budget"):
+        oracle_definable(diamond, diamond_order, budget=-1)
 
 
 def test_graph_validation():
@@ -170,3 +163,20 @@ def test_graph_reduction_agrees_with_deciders():
         star, _ = graph_star(g)
         assert merging_decide(star, rel).is_definable == expected, i
         assert splitting_decide(star, rel).is_definable == expected, i
+
+
+@pytest.mark.parametrize("module", [qfdef.oracle, qfdef.decision], ids=["oracle", "decision"])
+def test_oracle_and_certificate_import_no_decider_code(module):
+    # the brute-force oracle and the certificate check the deciders, so they
+    # import neither the deciders' modules nor their evaluation kernels
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").rpartition(".")[2])
+            names.update(alias.name for alias in node.names)
+    assert not modules & {"preprocess", "merging", "splitting"}, modules
+    assert not names & {"TermColumns", "extension", "iso_type", "generate_terms"}, names

@@ -64,6 +64,22 @@ def test_parse_errors_carry_positions():
         parse_formula("x0 # x1")
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_formula, "!" * 5000 + "x0=x1"),
+        (parse_formula, "(" * 5000 + "x0=x1" + ")" * 5000),
+        (parse_term, "f(" * 5000 + "x0" + ")" * 5000),
+    ],
+    ids=["negations", "parentheses", "applications"],
+)
+def test_deep_nesting_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse(text)
+    # the position is that of a token inside the nesting
+    assert 0 < err.value.position < len(text) // 2
+
+
 def test_printing_flattens_and_restores():
     nested = And((And((Eq(Var(0), Var(1)), TRUE)), Not(Eq(Var(0), Var(2)))))
     assert format_formula(nested) == "x0=x1&true&x0!=x2"

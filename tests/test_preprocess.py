@@ -13,13 +13,11 @@ from qfdef import (
     Var,
     assemble,
     decompose,
-    distinct_tuples,
     expand,
     extension,
-    oracle_definable_raw,
+    oracle_definable,
     pattern,
     recombine,
-    rel_type,
     squash,
 )
 from qfdef.preprocess import BundleTarget, Pattern, TargetBundle
@@ -94,32 +92,11 @@ def test_decompose_round_trip():
         assert rebuilt == set(rel.tuples)
 
 
-def test_rel_type_membership(diamond_rprime):
-    bundle = decompose(diamond_rprime)
-    assert rel_type((0, 1), bundle) == (True,)
-    assert rel_type((1, 2), bundle) == (False,)
-    assert rel_type((0,), bundle) == (False,)  # arity mismatch counts as absent
-    assert rel_type((0, 1), decompose(Relation.of(2, []))) == ()
-
-
-def test_distinct_tuples_counts(diamond):
-    assert len(list(distinct_tuples(diamond, 2))) == 12
-    assert len(list(distinct_tuples(diamond, 3))) == 24
-    assert list(distinct_tuples(diamond, 2))[:3] == [(0, 1), (0, 2), (0, 3)]
-
-
-def test_distinct_tuples_empty_when_arity_exceeds_size():
-    from qfdef import Algebra
-
-    alg = Algebra(2, [("f", 1, [0, 1])])
-    assert list(distinct_tuples(alg, 3)) == []
-
-
 def test_recombine_shapes_match_worked_example():
     # pattern {{0,1},{2,3},{4}} over five positions
     pat = Pattern(((0, 1), (2, 3), (4,)))
     phi = Eq(Var(0), Var(2))  # uses the three squashed positions 0,1,2
-    out = recombine(pat, phi, 5)
+    out = recombine(pat, phi)
     assert out == And(
         (
             Eq(Var(0), Var(4)),  # variables renamed to representatives 0,2,4
@@ -134,13 +111,13 @@ def test_recombine_shapes_match_worked_example():
 
 def test_recombine_discrete_adds_only_disequalities():
     pat = Pattern(((0,), (1,)))
-    out = recombine(pat, TRUE, 2)
+    out = recombine(pat, TRUE)
     assert out == And((TRUE, Not(Eq(Var(0), Var(1)))))
 
 
 def test_recombine_single_block():
     pat = Pattern(((0, 1),))
-    out = recombine(pat, TRUE, 2)
+    out = recombine(pat, TRUE)
     assert out == And((TRUE, Eq(Var(0), Var(1))))
 
 
@@ -151,7 +128,7 @@ def test_recombine_extension_characterization(diamond):
 
     pat = Pattern(((0, 2), (1,)))
     phi = Eq(App("join", (Var(0), Var(1))), Var(1))
-    lifted = recombine(pat, phi, 3)
+    lifted = recombine(pat, phi)
     got = extension(diamond, lifted, 3).tuples
     squashed_ext = extension(diamond, phi, 2)
     expected = set()
@@ -171,7 +148,7 @@ def test_recombine_every_pattern_of_arity_3(diamond):
     for blocks in [((0, 1, 2),), ((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2)), ((0,), (1,), (2,))]:
         pat = Pattern(blocks)
         phi = by_width[pat.width]
-        lifted = recombine(pat, phi, 3)
+        lifted = recombine(pat, phi)
         assert (lifted.children[0] is phi) == (pat.representatives == tuple(range(pat.width))), blocks
         squashed_ext = extension(diamond, phi, pat.width)
         expected = {
@@ -185,18 +162,15 @@ def test_recombine_every_pattern_of_arity_3(diamond):
 def test_recombine_validates_variables():
     pat = Pattern(((0,), (1,)))
     with pytest.raises(ValueError, match="width"):
-        recombine(pat, Eq(Var(2), Var(0)), 2)
+        recombine(pat, Eq(Var(2), Var(0)))
     with pytest.raises(ValueError, match="width"):
-        recombine(Pattern(((0,), (1, 2))), Eq(Var(2), Var(0)), 3)
-    with pytest.raises(ValueError, match="arity"):
-        recombine(pat, TRUE, 5)
+        recombine(Pattern(((0,), (1, 2))), Eq(Var(2), Var(0)))
 
 
 def test_assemble():
-    pat = Pattern(((0,),))
-    assert assemble([], 1) == FALSE
-    assert assemble([(pat, TRUE)], 1) == TRUE
-    two = assemble([(pat, TRUE), (pat, FALSE)], 1)
+    assert assemble([]) == FALSE
+    assert assemble([TRUE]) == TRUE
+    two = assemble([TRUE, FALSE])
     from qfdef import Or
 
     assert two == Or((TRUE, FALSE))
@@ -207,10 +181,10 @@ def test_bundle_definability_is_componentwise():
     # per-pattern target is, per the raw exhaustive check
     for i in range(12):
         alg, rel = random_instance(100 + i, max_size=4, max_arity=3)
-        whole = oracle_definable_raw(alg, rel).is_definable
+        whole = oracle_definable(alg, rel).is_definable
         bundle = decompose(rel)
         parts = all(
-            oracle_definable_raw(alg, Relation(t.arity, t.tuples)).is_definable
+            oracle_definable(alg, Relation(t.arity, t.tuples)).is_definable
             for t in bundle.targets
         )
         assert whole == parts, (i, sorted(rel.tuples))
@@ -227,7 +201,7 @@ def comprehension_decompose(rel):
         groups.setdefault(pattern(a), set()).add(squash(a))
     ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
     targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)
-    return TargetBundle(rel.arity, targets, tuple(sorted({t.arity for t in targets})))
+    return TargetBundle(targets, tuple(sorted({t.arity for t in targets})))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

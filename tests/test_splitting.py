@@ -15,9 +15,11 @@ from qfdef import (
     SplitStats,
     Var,
     check_decision,
+    diamond_lattice,
     extension,
     gen_abelian_group,
     gen_boolean_algebra,
+    gen_random_algebra,
     gen_random_formula,
     generate_terms,
     iso_type,
@@ -225,9 +227,22 @@ def test_extract_counterexample_reads_the_least_rows_of_a_restricted_kernel():
         assert gamma.map_tuple(a) == b and gamma.is_valid(alg)
 
 
+def _repeating_arity_3(i):
+    """An arity-3 relation in which every tuple repeats an entry, so that its
+    widest target is narrower than its arity: the extension of a random
+    formula and x0=x2 for even i, a random set of such tuples for odd i."""
+    rng = random.Random(i)
+    alg = [gen_abelian_group((2, 2)), diamond_lattice(), gen_random_algebra(4, signature=(("f", 1),), seed=i)][i % 3]
+    if i % 2 == 0:
+        return alg, extension(alg, And((gen_random_formula(alg, 3, seed=i), Eq(Var(0), Var(2)))), 3)
+    space = [a for a in itertools.product(range(alg.size), repeat=3) if len(set(a)) < 3]
+    return alg, Relation.of(3, rng.sample(space, rng.randint(1, len(space))))
+
+
 def test_agreement_with_oracle():
-    for i in range(60):
-        alg, rel = random_instance(i, max_size=4, max_arity=3)
+    instances = [random_instance(i, max_size=4, max_arity=3) for i in range(60)]
+    instances += [_repeating_arity_3(i) for i in range(24)]
+    for i, (alg, rel) in enumerate(instances):
         expected = oracle_definable(alg, rel).is_definable
         got = splitting_decide(alg, rel, debug=True)
         assert got.is_definable == expected, (i, sorted(rel.tuples))
