@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -78,6 +79,15 @@ def test_deep_nesting_is_a_parse_error(parse, text):
         parse(text)
     # the position is that of a token inside the nesting
     assert 0 < err.value.position < len(text) // 2
+
+
+def test_unclosed_nesting_is_a_parse_error_at_every_depth():
+    # at some depth the end of input is met just as the recursion limit is;
+    # the error must still carry a position then
+    for n in range(sys.getrecursionlimit()):
+        for parse, text in ((parse_formula, "!" * n), (parse_term, "f(" * n)):
+            with pytest.raises(ParseError):
+                parse(text)
 
 
 def test_printing_flattens_and_restores():
