@@ -44,7 +44,7 @@ from .generators import (
     gen_random_formula,
     gen_random_graph,
 )
-from .isotype import IsoSignature, IsoTypeCache, Subisomorphism, iso_type, subiso_from_signatures
+from .isotype import IsoSignature, IsoTypeCache, Subisomorphism, iso_type
 from .merging import merging_decide, try_merge_orbits
 from .oracle import (
     BudgetExceededError,
@@ -56,7 +56,6 @@ from .oracle import (
     oracle_definable,
 )
 from .preprocess import (
-    Pattern,
     TargetBundle,
     assemble,
     decompose,

@@ -346,12 +346,13 @@ class Relation:
 
     def check_over(self, alg: Algebra) -> None:
         values = set(itertools.chain.from_iterable(self.tuples))
-        if not values or 0 <= min(values) and max(values) < alg.size:
+        # a float such as 0.5 lies between min and max, so each distinct entry's type is checked
+        if set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < alg.size):
             return
         for t in self.tuples:  # only to name the offending tuple
             for v in t:
-                if not (0 <= v < alg.size):
-                    raise ValueError(f"tuple {t} has entry {v} outside 0..{alg.size - 1}")
+                if type(v) is not int or not 0 <= v < alg.size:
+                    raise ValueError(f"tuple {t} has entry {v!r} outside 0..{alg.size - 1}")
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self.tuples
@@ -532,9 +533,11 @@ class TermColumns:
         tops = mask.to_bytes(step * self.length, "little")[step - 1 :: step]
         return list(itertools.compress(range(len(tops)), tops))
 
-    def tuples(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
-        """The tuples of the given rows."""
-        return list(zip(*(map(self._values(Var(j)).__getitem__, rows) for j in range(self.arity))))
+    def tuples(self, rows: Sequence[int], terms: Iterable[Term] | None = None) -> list[tuple[int, ...]]:
+        """The tuples of the given rows, or at each row the values of `terms`."""
+        if terms is None:
+            terms = map(Var, range(self.arity))
+        return list(zip(*(map(self._values(t).__getitem__, rows) for t in terms)))
 
     def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
         """A kernel over the given rows, seeded with the columns of the
@@ -876,7 +879,7 @@ def relation_from_json(doc: dict) -> Relation:
         raise ValueError(f"malformed relation document: missing {e}") from None
     except TypeError:
         raise ValueError(f"malformed relation document: expected an object, got {type(doc).__name__}") from None
-    # entries are checked here, once per load, and not in every decision
+    # entries must be JSON integers; `Relation.check_over` bounds them by each algebra
     ints = type(tuples) is list and all(type(t) is list and all(type(v) is int for v in t) for t in tuples)
     if type(arity) is not int or not ints:
         raise ValueError("malformed relation document: arity and tuple entries must be integers")

@@ -36,7 +36,7 @@ from .oracle import (
     load_graph,
     oracle_definable,
 )
-from .preprocess import decompose
+from .preprocess import blocks, decompose
 from .splitting import SplitStats, splitting_decide
 
 EXIT_DEFINABLE = 0
@@ -120,7 +120,7 @@ def _cmd_decompose(args) -> int:
         "arity": rel.arity,
         "spec": list(bundle.spec),
         "targets": [
-            {"pattern": t.pattern.to_json(), "tuples": sorted(list(x) for x in t.tuples)}
+            {"pattern": [list(b) for b in blocks(t.pattern)], "tuples": sorted(list(x) for x in t.tuples)}
             for t in bundle.targets
         ],
     }

@@ -305,22 +305,3 @@ class Subisomorphism:
     def to_json(self) -> dict:
         return {"domain": list(self.domain), "image": list(self.image)}
 
-
-def subiso_from_signatures(
-    alg: Algebra,
-    a: Sequence[int],
-    sig_a: IsoSignature,
-    b: Sequence[int],
-    sig_b: IsoSignature,
-) -> Subisomorphism | None:
-    """The canonical isomorphism sg(a) -> sg(b) when the types coincide.
-
-    Returns None when the keys differ.  The map pairs the two universes
-    positionally and sends a to b pointwise.
-    """
-    if sig_a.key != sig_b.key:
-        return None
-    gamma = Subisomorphism(sig_a.universe, sig_b.universe)
-    if gamma.map_tuple(tuple(a)) != tuple(b):
-        raise AssertionError("the canonical isomorphism does not send a to b")
-    return gamma

@@ -114,12 +114,7 @@ class Graph:
 
     @classmethod
     def of(cls, vertices: int, edges) -> "Graph":
-        canon = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"loop at vertex {a} not allowed")
-            canon.add((min(a, b), max(a, b)))
-        return cls(vertices, frozenset(canon))
+        return cls(vertices, frozenset((min(a, b), max(a, b)) for a, b in edges))
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges

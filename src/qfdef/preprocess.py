@@ -1,11 +1,13 @@
 """Target decomposition: strip repeated entries out of a relation.
 
-A k-tuple carries two independent pieces of information: which positions
-hold equal entries (its pattern) and the sequence of distinct values in
-first-appearance order (its squash).  Grouping a target relation by
-pattern and squashing each group yields smaller repetition-free targets
-whose joint definability is equivalent to the original's, and whose
-defining formulas recombine into one for the original relation.
+A k-tuple carries two independent pieces of information: the sequence of
+its distinct values in first-appearance order (its squash) and the rank
+of each entry in that sequence (its pattern), a tuple of ints that gives
+the tuple back by indexing, `expand(pattern(a), squash(a)) == a`.
+Grouping a target relation by pattern and squashing each group yields
+smaller repetition-free targets whose joint definability is equivalent
+to the original's, and whose defining formulas recombine into one for
+the original relation.
 """
 
 from __future__ import annotations
@@ -18,36 +20,18 @@ from typing import Sequence
 from .algebra import And, Eq, Not, Or, QfFormula, Relation, Var, formula_variables, substitute_formula
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Equality pattern of tuple positions, in canonical block form."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def arity(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def width(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(b[0] for b in self.blocks)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks]
+def pattern(a: Sequence[int]) -> tuple[int, ...]:
+    """The rank of each entry of `a` among its distinct values in order of
+    first appearance: positions i, j share a rank exactly when a[i] == a[j]."""
+    return tuple(map(squash(a).index, a))
 
 
-def pattern(a: Sequence[int]) -> Pattern:
-    """Positions i, j share a block exactly when a[i] == a[j]."""
-    if not a:
-        raise ValueError("empty tuple has no pattern")
-    blocks: dict[int, list[int]] = {}  # by value, in order of first appearance
-    for i, x in enumerate(a):
-        blocks.setdefault(x, []).append(i)
-    return Pattern(tuple(map(tuple, blocks.values())))
+def blocks(pat: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The positions of each rank in turn, the pattern's equality blocks."""
+    out: list[list[int]] = [[] for _ in range(max(pat) + 1)]
+    for i, r in enumerate(pat):
+        out[r].append(i)
+    return tuple(map(tuple, out))
 
 
 def squash(a: Sequence[int]) -> tuple[int, ...]:
@@ -57,33 +41,29 @@ def squash(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(dict.fromkeys(a))
 
 
-def expand(pat: Pattern, squashed: Sequence[int]) -> tuple[int, ...]:
+def expand(pat: Sequence[int], squashed: Sequence[int]) -> tuple[int, ...]:
     """Inverse of squash for tuples of the given pattern."""
-    if len(squashed) != pat.width:
-        raise ValueError(f"tuple of length {len(squashed)} does not fit pattern width {pat.width}")
-    out = [0] * pat.arity
-    for j, block in enumerate(pat.blocks):
-        for i in block:
-            out[i] = squashed[j]
-    return tuple(out)
+    if len(squashed) != max(pat) + 1:
+        raise ValueError(f"tuple of length {len(squashed)} does not fit pattern width {max(pat) + 1}")
+    return tuple(map(squashed.__getitem__, pat))
 
 
 @dataclass(frozen=True)
 class BundleTarget:
-    pattern: Pattern
+    pattern: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
 
     @property
     def arity(self) -> int:
-        return self.pattern.width
+        return max(self.pattern) + 1
 
 
 @dataclass(frozen=True)
 class TargetBundle:
     """Decomposition of one relation into repetition-free per-pattern targets.
 
-    Targets are ordered by (width ascending, canonical block order) so that
-    membership vectors are comparable across runs.
+    Targets are ordered by (width ascending, `blocks` of their rank-tuple
+    pattern) so that membership vectors and disjuncts keep one order.
     """
 
     targets: tuple[BundleTarget, ...]
@@ -107,41 +87,40 @@ def decompose(rel: Relation, n: int | None = None) -> TargetBundle:
         plain = {a for a in tuples if len(set(a)) == k}
         repeated = tuples - plain
     # a tuple without repeated entries is its own squash, under the identity pattern
-    groups: dict[Pattern, set[tuple[int, ...]]] = {}
+    groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     if plain:
-        groups[Pattern(tuple((i,) for i in range(k)))] = plain
-    # a tuple's pattern follows from where each entry first appears, a C-level key
-    by_shape: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for a in repeated:
-        by_shape.setdefault(tuple(map(a.index, a)), set()).add(squash(a))
-    for shape, squashed in by_shape.items():
-        groups[pattern(shape)] = squashed
-    ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
+        groups[tuple(range(k))] = plain
+    for a in repeated:  # one squash gives the target tuple and, indexed, the pattern
+        squashed = squash(a)
+        groups.setdefault(tuple(map(squashed.index, a)), set()).add(squashed)
+    ordered = sorted(groups, key=lambda p: (max(p), blocks(p)))
     targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)
     spec = tuple(sorted({t.arity for t in targets}))
     return TargetBundle(targets, spec)
 
 
-def recombine(pat: Pattern, phi: QfFormula) -> QfFormula:
+def recombine(pat: Sequence[int], phi: QfFormula) -> QfFormula:
     """Lift a formula over the squashed positions back to the pattern's arity.
 
-    Variables x0..x{w-1} are renamed to the pattern's representative
-    positions, equalities tie each block together, and disequalities
-    separate the representatives, so the result holds exactly at the
-    tuples whose pattern is `pat` and whose squash satisfies `phi`.
+    Variables x0..x{w-1} are renamed to the first position of each rank,
+    equalities tie each block together, and disequalities separate those
+    representatives, so the result holds exactly at the tuples whose
+    pattern is `pat` and whose squash satisfies `phi`.
     """
-    bad = [i for i in formula_variables(phi) if i >= pat.width]
+    pat_blocks = blocks(pat)
+    w = len(pat_blocks)
+    bad = [i for i in formula_variables(phi) if i >= w]
     if bad:
-        raise ValueError(f"formula uses x{max(bad)} but the pattern has width {pat.width}")
-    reps = pat.representatives
+        raise ValueError(f"formula uses x{max(bad)} but the pattern has width {w}")
+    reps = tuple(b[0] for b in pat_blocks)
     # representatives 0..w-1 rename every variable to itself
-    lifted = phi if reps == tuple(range(pat.width)) else substitute_formula(phi, dict(enumerate(reps)))
+    lifted = phi if reps == tuple(range(w)) else substitute_formula(phi, dict(enumerate(reps)))
     literals: list[QfFormula] = []
-    for block in pat.blocks:
+    for block in pat_blocks:
         first = block[0]
         for i in block[1:]:
             literals.append(Eq(Var(first), Var(i)))
-    for i, j in itertools.combinations(range(pat.width), 2):
+    for i, j in itertools.combinations(range(w), 2):
         literals.append(Not(Eq(Var(reps[i]), Var(reps[j]))))
     if not literals:
         return lifted

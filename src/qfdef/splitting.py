@@ -7,8 +7,9 @@ leftover tuples form a complement block in which the new term becomes a
 witness itself.  Blocks fully inside the target contribute a disjunct of
 the output formula, blocks disjoint from it are dropped, and a mixed
 block that runs out of terms to try is a counterexample: its tuples are
-pairwise isomorphic, so any straddling pair plus the canonical map
-between their generated subuniverses separates the target.
+pairwise isomorphic, so any straddling pair plus the map between their
+generated subuniverses separates the target, and the block's witness
+terms list both subuniverses in step.
 
 This is partition refinement over an indexed space (Paige and Tarjan,
 "Three partition refinement algorithms", 1987).  A `TermColumns` kernel
@@ -29,8 +30,8 @@ so a popped mixed block holding less than `COMPACT_SHARE` of its space's
 rows is rebased onto a kernel over just its own rows, its variable and
 witness columns gathered at those rows; its successors inherit that
 smaller space.  Rows become tuples only in the debug checks and in
-`extract_counterexample`, which reads the terminal block's first row in
-the target and its first row outside it.
+`extract_counterexample`, which reads the witnesses' values at the
+terminal block's first row in the target and its first row outside it.
 
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
@@ -60,7 +61,7 @@ from .algebra import (
     permutation_columns,
 )
 from .decision import Decision, Definable, NotDefinable
-from .isotype import Subisomorphism, iso_type, subiso_from_signatures
+from .isotype import Subisomorphism, iso_type
 from .preprocess import assemble, decompose, expand, recombine
 
 Trace = Callable[[str], None]
@@ -194,20 +195,23 @@ def extract_counterexample(
     block: Block, columns: TermColumns, member: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], Subisomorphism]:
     """Witness pair and connecting map from a terminal mixed block: its
-    first row in the membership mask `member` and its first row outside.
-    Rows ascend lexicographically, so these are the least such tuples."""
+    first row a in the membership mask `member` and its first row b outside.
+    Rows ascend lexicographically, so these are the least such tuples.
+
+    The block's witnesses start with x0..x(k-1), take pairwise distinct
+    values at every row, and are closed under the operations: every term
+    over them agrees with one of them on the whole block.  So their values
+    at a and at b list sg(a) and sg(b) in step, and the map that pairs them
+    is an isomorphism sending a to b."""
     if not block.is_terminal:
         raise ValueError("block still has terms to try; not terminal")
     inside, outside = block.tuples & member, block.tuples & ~member
     if not inside or not outside:
         raise ValueError("block is pure; no counterexample here")
-    alg, w = columns.alg, columns.width
+    w, k = columns.width, columns.arity
     # a mask's lowest set bit is the top bit of its first row's lane
-    a, b = columns.tuples([((m & -m).bit_length() - 1) // w for m in (inside, outside)])
-    gamma = subiso_from_signatures(alg, a, iso_type(alg, a), b, iso_type(alg, b))
-    if gamma is None:
-        raise AssertionError("tuples of a terminal block must share their type")
-    return a, b, gamma
+    sg_a, sg_b = columns.tuples([((m & -m).bit_length() - 1) // w for m in (inside, outside)], block.witnesses)
+    return sg_a[:k], sg_b[:k], Subisomorphism(sg_a, sg_b)
 
 
 class _DebugChecker:
@@ -256,11 +260,15 @@ class _DebugChecker:
             if iso_type(self.alg, a).key == iso_type(self.alg, b).key:
                 raise AssertionError("isomorphic tuples were separated into different blocks")
 
-    def check_terminal(self, block: Block, columns: TermColumns) -> None:
+    def check_terminal(self, block: Block, columns: TermColumns, member: int) -> None:
         sample = columns.tuples(columns.rows(block.tuples)[:4])
         keys = [iso_type(self.alg, t).key for t in sample]
         if any(k != keys[0] for k in keys):
             raise AssertionError("terminal block holds non-isomorphic tuples")
+        a, b, gamma = extract_counterexample(block, columns, member)
+        sig_a, sig_b = iso_type(self.alg, a), iso_type(self.alg, b)
+        if (gamma.domain, gamma.image) != (sig_a.universe, sig_b.universe):
+            raise AssertionError("the terminal block's witnesses do not list the canonical map")
 
     def _all_terms(self, depth: int) -> list[Term]:
         terms: list[Term] = [Var(i) for i in range(self.k)]
@@ -334,7 +342,7 @@ def _single_target(
             if trace:
                 trace(f"terminal mixed block of {b.tuples.bit_count()} tuples")
             if checker:
-                checker.check_terminal(b, columns)
+                checker.check_terminal(b, columns, member)
             return False, extract_counterexample(b, columns, member)
         if b.tuples.bit_count() < COMPACT_SHARE * columns.length:
             columns, member = _compact(columns, b, target)

@@ -9,15 +9,20 @@ from qfdef import (
     Algebra,
     And,
     App,
+    Definable,
     Eq,
     Not,
     Or,
     Relation,
     Var,
+    check_decision,
     eval_formula,
     eval_term,
     extension,
+    merging_decide,
+    oracle_definable,
     sg,
+    splitting_decide,
 )
 from qfdef.algebra import (
     algebra_from_json,
@@ -229,11 +234,18 @@ def test_check_over_bounds_and_message(diamond):
     good = [(a, b) for a in range(4) for b in range(4)]
     Relation.of(2, good).check_over(diamond)
     Relation.of(2, []).check_over(diamond)
-    # one entry just past either end, among valid tuples, is named in the error
-    for bad, v in (((2, 4), 4), ((-1, 0), -1)):
+    # one entry just past either end, or not an int, among valid tuples, is named in the error
+    for bad, v in (((2, 4), 4), ((-1, 0), -1), ((0.5, 1), 0.5), ((None, 1), None), (("1", 0), "1")):
         with pytest.raises(ValueError) as e:
             Relation.of(2, good + [bad]).check_over(diamond)
-        assert str(e.value) == f"tuple {bad} has entry {v} outside 0..3"
+        assert str(e.value) == f"tuple {bad} has entry {v!r} outside 0..3"
+    # 0.5 lies between the entries' min and max: no decider, oracle or certificate takes it
+    half = Relation.of(2, [(0.5, 1)])
+    for decide in (splitting_decide, merging_decide, oracle_definable):
+        with pytest.raises(ValueError, match="0.5"):
+            decide(diamond, half)
+    with pytest.raises(ValueError, match="0.5"):
+        check_decision(diamond, half, Definable(FALSE))
 
 
 def test_algebra_json_round_trip(tmp_path, diamond):

@@ -43,6 +43,11 @@ def test_rejects_each_defect(diamond, diamond_order, diamond_rprime):
     # swapping bottom and u is no subisomorphism
     with pytest.raises(ValueError, match="subisomorphism"):
         check_decision(diamond, diamond_rprime, NotDefinable((0, 1), (1, 0), Subisomorphism((0, 1, 2, 3), (1, 0, 2, 3))))
+    # meet(u, u') is bottom, outside the domain {u, u'}; and an empty map is no subisomorphism
+    uu = Relation.of(2, [(1, 2)])
+    for gamma in (Subisomorphism((1, 2), (2, 1)), Subisomorphism((), ())):
+        with pytest.raises(ValueError, match="subisomorphism"):
+            check_decision(diamond, uu, NotDefinable((1, 2), (2, 1), gamma))
     # a gamma whose domain misses a witness entry
     with pytest.raises(ValueError, match="does not map"):
         check_decision(diamond, Relation.of(2, [(0, 3)]), NotDefinable((0, 3), (3, 0), Subisomorphism((0,), (0,))))

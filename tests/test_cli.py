@@ -228,7 +228,7 @@ def test_readme_cli_lines_parse():
 
 
 def test_decide_trace_and_invariants(capsys, diamond_files):
-    alg, order, _ = diamond_files
+    alg, order, rprime = diamond_files
     code = main(
         [
             "decide", "--strategy", "merging", "--algebra", alg, "--relation", order,
@@ -238,6 +238,16 @@ def test_decide_trace_and_invariants(capsys, diamond_files):
     captured = capsys.readouterr()
     assert code == 0
     assert "pop" in captured.err
+    # R' is not definable: each strategy traces the event that refutes it
+    for strategy, event in (("merging", "conflict at"), ("splitting", "terminal mixed block")):
+        code = main(
+            [
+                "decide", "--strategy", strategy, "--algebra", alg, "--relation", rprime,
+                "--trace", "--check-invariants",
+            ]
+        )
+        assert code == 1, strategy
+        assert event in capsys.readouterr().err, strategy
 
 
 def _run_cli(argv):

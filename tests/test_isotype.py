@@ -12,7 +12,6 @@ from qfdef import (
     gen_random_algebra,
     iso_type,
     sg,
-    subiso_from_signatures,
 )
 from qfdef.isotype import iso_type_terms
 
@@ -101,9 +100,11 @@ def test_cache_returns_identical_signatures(diamond):
 
 
 def test_subiso_from_worked_example(diamond):
+    # tuples of one type: pairing their ordered universes sends a to b
     a, b = (1, 2, 0), (2, 1, 0)
-    gamma = subiso_from_signatures(diamond, a, iso_type(diamond, a), b, iso_type(diamond, b))
-    assert gamma is not None
+    sig_a, sig_b = iso_type(diamond, a), iso_type(diamond, b)
+    assert sig_a.key == sig_b.key
+    gamma = Subisomorphism(sig_a.universe, sig_b.universe)
     assert gamma.domain == (1, 2, 0, 3) and gamma.image == (2, 1, 0, 3)
     assert gamma.map_tuple(a) == b
     assert gamma.is_valid(diamond)
@@ -112,17 +113,19 @@ def test_subiso_from_worked_example(diamond):
 def test_subiso_identity(diamond):
     a = (1, 2)
     sig = iso_type(diamond, a)
-    gamma = subiso_from_signatures(diamond, a, sig, a, sig)
-    assert gamma is not None
+    gamma = Subisomorphism(sig.universe, sig.universe)
     assert all(gamma.apply(x) == x for x in gamma.domain)
+    assert gamma.is_valid(diamond)
 
 
 def test_subiso_absent_when_universes_differ(diamond):
     # sg(u, u') has four elements, sg(u, top) only two
     a, b = (1, 2), (1, 3)
     assert len(sg(diamond, a)) == 4 and len(sg(diamond, b)) == 2
-    gamma = subiso_from_signatures(diamond, a, iso_type(diamond, a), b, iso_type(diamond, b))
-    assert gamma is None
+    sig_a, sig_b = iso_type(diamond, a), iso_type(diamond, b)
+    assert sig_a.key != sig_b.key
+    with pytest.raises(ValueError, match="lengths differ"):
+        Subisomorphism(sig_a.universe, sig_b.universe)
 
 
 def test_subisomorphism_validity_scan(diamond):

@@ -19,7 +19,6 @@ from qfdef import (
     merging_decide,
     oracle_definable,
     splitting_decide,
-    subiso_from_signatures,
     try_merge_orbits,
 )
 from qfdef.merging import OrbitStore
@@ -101,7 +100,7 @@ def _random_subisos(alg, rng, count):
         sig = iso_type(alg, a)
         b, sig_b = first_of_type.setdefault(sig.key, (a, sig))
         if b != a and len(gammas) <= count:
-            gammas.append(subiso_from_signatures(alg, a, sig, b, sig_b))
+            gammas.append(Subisomorphism(sig.universe, sig_b.universe))
     return gammas
 
 

@@ -91,6 +91,8 @@ def test_budget_guard(diamond, diamond_order):
 def test_graph_validation():
     with pytest.raises(ValueError, match="loop"):
         Graph.of(3, [(1, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.of(3, [(0, 5)])
     g = Graph.of(3, [(2, 0)])
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(0, 1)

@@ -20,18 +20,21 @@ from qfdef import (
     recombine,
     squash,
 )
-from qfdef.preprocess import BundleTarget, Pattern, TargetBundle
+from qfdef.preprocess import BundleTarget, TargetBundle, blocks
 
 from conftest import random_instance
 
 
 def test_pattern_worked_example():
-    assert pattern((7, 7, 8, 9, 8, 9)).blocks == ((0, 1), (2, 4), (3, 5))
+    assert pattern((7, 7, 8, 9, 8, 9)) == (0, 0, 1, 2, 1, 2)
+    assert blocks(pattern((7, 7, 8, 9, 8, 9))) == ((0, 1), (2, 4), (3, 5))
 
 
 def test_pattern_trivia():
-    assert pattern((3, 1, 2)).blocks == ((0,), (1,), (2,))
-    assert pattern((5, 5, 5)).blocks == ((0, 1, 2),)
+    assert pattern((3, 1, 2)) == (0, 1, 2) and blocks((0, 1, 2)) == ((0,), (1,), (2,))
+    assert pattern((5, 5, 5)) == (0, 0, 0) and blocks((0, 0, 0)) == ((0, 1, 2),)
+    with pytest.raises(ValueError, match="empty"):
+        pattern(())
 
 
 def test_squash_worked_example():
@@ -42,8 +45,8 @@ def test_squash_worked_example():
 
 def test_squash_pattern_consistency():
     a = (4, 2, 4, 2, 0)
-    assert len(squash(a)) == pattern(a).width
-    assert pattern(squash(a)).blocks == tuple((i,) for i in range(3))
+    assert len(squash(a)) == max(pattern(a)) + 1
+    assert pattern(squash(a)) == (0, 1, 2)
 
 
 def test_expand_inverts_squash():
@@ -58,14 +61,14 @@ def test_decompose_repetition_free(diamond_rprime):
     assert bundle.spec == (2,)
     assert len(bundle.targets) == 1
     t = bundle.targets[0]
-    assert t.pattern.blocks == ((0,), (1,))
+    assert t.pattern == (0, 1)
     assert t.tuples == diamond_rprime.tuples
 
 
 def test_decompose_diagonal():
     bundle = decompose(Relation.of(2, [(5, 5)]))
     assert bundle.spec == (1,)
-    assert bundle.targets[0].pattern.blocks == ((0, 1),)
+    assert bundle.targets[0].pattern == (0, 0)
     assert bundle.targets[0].tuples == frozenset({(5,)})
 
 
@@ -94,7 +97,7 @@ def test_decompose_round_trip():
 
 def test_recombine_shapes_match_worked_example():
     # pattern {{0,1},{2,3},{4}} over five positions
-    pat = Pattern(((0, 1), (2, 3), (4,)))
+    pat = (0, 0, 1, 1, 2)
     phi = Eq(Var(0), Var(2))  # uses the three squashed positions 0,1,2
     out = recombine(pat, phi)
     assert out == And(
@@ -110,13 +113,13 @@ def test_recombine_shapes_match_worked_example():
 
 
 def test_recombine_discrete_adds_only_disequalities():
-    pat = Pattern(((0,), (1,)))
+    pat = (0, 1)
     out = recombine(pat, TRUE)
     assert out == And((TRUE, Not(Eq(Var(0), Var(1)))))
 
 
 def test_recombine_single_block():
-    pat = Pattern(((0, 1),))
+    pat = (0, 0)
     out = recombine(pat, TRUE)
     assert out == And((TRUE, Eq(Var(0), Var(1))))
 
@@ -126,14 +129,14 @@ def test_recombine_extension_characterization(diamond):
     # squash satisfies the original formula, checked by brute enumeration
     from qfdef import App
 
-    pat = Pattern(((0, 2), (1,)))
+    pat = (0, 1, 0)
     phi = Eq(App("join", (Var(0), Var(1))), Var(1))
     lifted = recombine(pat, phi)
     got = extension(diamond, lifted, 3).tuples
     squashed_ext = extension(diamond, phi, 2)
     expected = set()
     for a in itertools.product(range(4), repeat=3):
-        if pattern(a).blocks == pat.blocks and squash(a) in squashed_ext:
+        if pattern(a) == pat and squash(a) in squashed_ext:
             expected.add(a)
     assert got == expected
 
@@ -145,26 +148,26 @@ def test_recombine_every_pattern_of_arity_3(diamond):
 
     below = Eq(App("join", (Var(0), Var(1))), Var(1))
     by_width = {1: TRUE, 2: below, 3: And((below, Eq(App("meet", (Var(1), Var(2))), Var(1))))}
-    for blocks in [((0, 1, 2),), ((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2)), ((0,), (1,), (2,))]:
-        pat = Pattern(blocks)
-        phi = by_width[pat.width]
+    for pat in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]:
+        width = max(pat) + 1
+        phi = by_width[width]
         lifted = recombine(pat, phi)
-        assert (lifted.children[0] is phi) == (pat.representatives == tuple(range(pat.width))), blocks
-        squashed_ext = extension(diamond, phi, pat.width)
+        # the first position of each rank is its representative
+        assert (lifted.children[0] is phi) == (tuple(map(pat.index, range(width))) == tuple(range(width))), pat
+        squashed_ext = extension(diamond, phi, width)
         expected = {
             a
             for a in itertools.product(range(4), repeat=3)
-            if pattern(a).blocks == pat.blocks and squash(a) in squashed_ext
+            if pattern(a) == pat and squash(a) in squashed_ext
         }
-        assert extension(diamond, lifted, 3).tuples == expected, blocks
+        assert extension(diamond, lifted, 3).tuples == expected, pat
 
 
 def test_recombine_validates_variables():
-    pat = Pattern(((0,), (1,)))
     with pytest.raises(ValueError, match="width"):
-        recombine(pat, Eq(Var(2), Var(0)))
+        recombine((0, 1), Eq(Var(2), Var(0)))
     with pytest.raises(ValueError, match="width"):
-        recombine(Pattern(((0,), (1, 2))), Eq(Var(2), Var(0)))
+        recombine((0, 1, 1), Eq(Var(2), Var(0)))
 
 
 def test_assemble():
@@ -196,10 +199,10 @@ def comprehension_decompose(rel):
     plain = {a for a in rel.tuples if len(set(a)) == k}
     groups = {}
     if plain:
-        groups[Pattern(tuple((i,) for i in range(k)))] = plain
+        groups[tuple(range(k))] = plain
     for a in rel.tuples - plain:
         groups.setdefault(pattern(a), set()).add(squash(a))
-    ordered = sorted(groups, key=lambda p: (p.width, p.blocks))
+    ordered = sorted(groups, key=lambda p: (len(blocks(p)), blocks(p)))
     targets = tuple(BundleTarget(p, frozenset(groups[p])) for p in ordered)
     return TargetBundle(targets, tuple(sorted({t.arity for t in targets})))
 

@@ -30,6 +30,7 @@ from qfdef import (
 )
 import qfdef.splitting
 from qfdef.algebra import TermColumns, permutation_columns
+from qfdef.isotype import iso_type_terms
 from qfdef.splitting import Block, _DebugChecker, extract_counterexample
 
 from conftest import plant_negative, random_instance
@@ -220,11 +221,22 @@ def test_extract_counterexample_reads_the_least_rows_of_a_restricted_kernel():
     space = sub.tuples(range(sub.length))
     assert space == sorted(space) and len(space) >= 6
     target = frozenset(space[1::3])
-    block = Block(sub.full, (X0, X1, Var(2)), (), [], (), 0)
+    # the witnesses of a terminal block are closed: take the closure's terms
+    # at the first appearance of each value, which list sg(a) for every a here
+    sig, terms = iso_type_terms(alg, space[0])
+    block = Block(sub.full, tuple(terms[p[0]] for p in sig.partition), (), [], (), 0)
+    # x0, x1, x2 alone are not closed, and only the cross-check sees it
+    unclosed = Block(sub.full, (X0, X1, Var(2)), (), [], (), 0)
+    checker = _DebugChecker(alg, target, 3, False)
     for inside in (target, frozenset(space) - target):
-        a, b, gamma = extract_counterexample(block, sub, sub.members(inside))
+        member = sub.members(inside)
+        a, b, gamma = extract_counterexample(block, sub, member)
         assert a == min(inside) and b == min(set(space) - inside)
         assert gamma.map_tuple(a) == b and gamma.is_valid(alg)
+        checker.check_terminal(block, sub, member)
+        assert not extract_counterexample(unclosed, sub, member)[2].is_valid(alg)
+        with pytest.raises(AssertionError, match="canonical map"):
+            checker.check_terminal(unclosed, sub, member)
 
 
 def _repeating_arity_3(i):
