@@ -277,9 +277,10 @@ class Subisomorphism:
         return Subisomorphism(self.image, self.domain)
 
     def is_valid(self, alg: Algebra) -> bool:
-        """Full table scan: domain closed under every operation and the
-        operation graphs are preserved pointwise."""
-        if not self.domain:
+        """Full table scan: every entry an element of `alg`, domain closed
+        under every operation and the operation graphs preserved pointwise."""
+        n = alg.size
+        if not self.domain or not all(type(x) is int and 0 <= x < n for x in self.domain + self.image):
             return False
         dom = sorted(self._map)
         m = self._map

@@ -2,12 +2,16 @@
 
 Every repetition-free tuple of a relevant arity starts in its own orbit,
 annotated with its membership vector against the decomposed targets.
-Tuples are processed depth-first along the tree of subuniverses; whenever
-two tuples turn out to share an isomorphism type, the connecting
-subisomorphism is used to merge every pair of orbits it links.  The
-target is definable exactly when no merge ever has to join orbits with
-different membership vectors; the first offending pair, together with the
-map connecting it, is the counterexample.
+Tuples are processed depth-first along the tree of subuniverses.  When an
+untyped tuple turns out to share its isomorphism type with a tagged orbit,
+the subisomorphism between their generated subuniverses is a hit of one
+of two kinds.  An automorphism hit maps the current node onto itself, and
+every pair of orbits it links is merged.  A cross hit maps a smaller
+subuniverse into a finished one, whose tuples are all typed; its map is
+only checked, and its domain is recorded as covered, which types every
+tuple over it.  The target is definable exactly when no map links two
+tuples with different membership vectors; the first offending pair,
+together with the map connecting it, is the counterexample.
 
 This strategy never produces a defining formula.
 """
@@ -15,6 +19,8 @@ This strategy never produces a defining formula.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .algebra import FALSE, Algebra, Relation, tuple_codes
@@ -40,6 +46,12 @@ class OrbitStore:
     Type, universe and the per-arity type -> root index live on roots
     only, written once when the orbit is tagged; the index also enforces
     that a type is never carried by two distinct orbits.
+
+    A covered subuniverse (`cover`) has its tuples typed through a checked
+    map into a finished subuniverse, with no orbit joined.  Bit i of the
+    int `holders[x]` says that x lies in the i-th of the `covers` covered
+    subuniverses, so a tuple is typed when its root is tagged or the AND
+    of `holders` over its entries is not 0.
     """
 
     def __init__(self, alg: Algebra, bundle: TargetBundle, *, debug: bool = False):
@@ -63,6 +75,10 @@ class OrbitStore:
         self.universe_donor: dict[int, tuple[int, ...]] = {}  # debug bookkeeping
         self.tagged_index: dict[int, dict[tuple, int]] = {k: {} for k in self.spec}
         self.conflict: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self.covers = 0
+        self.holders = [0] * alg.size
+        # membership rows that `cover` has read, keyed by the code of their x = 0 entry
+        self._rows: dict[int, list[int]] = {}
 
     def code(self, a: Sequence[int]) -> int:
         n, c = self.alg.size, 0
@@ -120,6 +136,52 @@ class OrbitStore:
             self._check_orbit(first, arity)
         return first
 
+    def cover(self, domain: Sequence[int], image: Sequence[int]) -> bool:
+        """Check the map domain[j] -> image[j] into a finished subuniverse,
+        then record `domain` as covered.
+
+        Every tuple over `domain` must have the membership of its image.
+        Tuples are compared in `try_merge_orbits`' order, a (k-1)-prefix's
+        row of the membership list at a time, and a row that differs is
+        walked entry by entry.  Orbits never join unequal memberships, so
+        the first unequal pair, whatever the union state, is the one
+        `try_merge_orbits` meets along the same map: it is left in
+        `conflict`, and False is returned with nothing covered.
+        """
+        if self.debug:
+            if not Subisomorphism(domain, image).is_valid(self.alg):
+                raise AssertionError("a cover's map is not a subisomorphism")
+            self.check_all_known(frozenset(image))
+        pairs = sorted(zip(domain, image))
+        n, rows, membership = self.alg.size, self._rows, self.membership
+        # lists, not generators: a tuple built from a generator is allocated at
+        # length 10 and shrunk, which moves memory between the interpreter's
+        # per-length tuple free lists and, over many decisions, raises peak RSS
+        dom, img = [x for x, _ in pairs], [gx for _, gx in pairs]
+        pick_a, pick_g = itemgetter(*dom), itemgetter(*img)
+        for k in self.spec:
+            off = self.offset[k]
+            for pa, pg, p in _prefixes(pairs, k, n):
+                base_a, base_g = pa * n + off, pg * n + off
+                row_a = rows.get(base_a)
+                if row_a is None:
+                    row_a = rows[base_a] = membership[base_a : base_a + n]
+                row_g = rows.get(base_g)
+                if row_g is None:
+                    row_g = rows[base_g] = membership[base_g : base_g + n]
+                if pick_a(row_a) == pick_g(row_g):
+                    continue
+                for x, gx in pairs:
+                    if x not in p and row_a[x] != row_g[gx]:
+                        a = p + (x,)
+                        self.conflict = (a, tuple(map(dict(pairs).__getitem__, a)))
+                        return False
+        bit, holders = 1 << self.covers, self.holders
+        self.covers += 1
+        for x in dom:
+            holders[x] |= bit
+        return True
+
     # -- debug invariant suite ------------------------------------------------
 
     def _check_orbit(self, root: int, arity: int) -> None:
@@ -138,10 +200,25 @@ class OrbitStore:
                     raise AssertionError("tag differs from a member's type")
 
     def check_all_known(self, sub: frozenset[int]) -> None:
+        holders = self.holders
         for k in self.spec:
             for a in itertools.permutations(sorted(sub), k):
-                if self.orbit(a) not in self.type:
+                if self.orbit(a) not in self.type and not reduce(and_, map(holders.__getitem__, a)):
                     raise AssertionError(f"tuple {a} left untyped on a closed subuniverse")
+
+
+def _prefixes(pairs: list[tuple[int, int]], k: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(value of p, value of gamma p, p) for every repetition-free prefix p
+    of length k - 1 over the sorted map `pairs`, lexicographically."""
+    prefixes = [(0, 0, ())] if k == 1 else [(x, gx, (x,)) for x, gx in pairs]
+    for _ in range(k - 2):
+        prefixes = [
+            (pa * n + x, pg * n + gx, p + (x,))
+            for pa, pg, p in prefixes
+            for x, gx in pairs
+            if x not in p
+        ]
+    return prefixes
 
 
 def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
@@ -154,18 +231,8 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
     n = store.alg.size
     parent, membership = store.parent, store.membership
     for k in store.spec:
-        # (value of p, value of gamma p, p) for every repetition-free prefix p
-        # of length k - 1, lexicographically; the last entry runs below
-        prefixes = [(0, 0, ())] if k == 1 else [(x, gx, (x,)) for x, gx in pairs]
-        for _ in range(k - 2):
-            prefixes = [
-                (pa * n + x, pg * n + gx, p + (x,))
-                for pa, pg, p in prefixes
-                for x, gx in pairs
-                if x not in p
-            ]
         off = store.offset[k]
-        for pa, pg, p in prefixes:
+        for pa, pg, p in _prefixes(pairs, k, n):  # the last entry runs below
             base_a, base_g = pa * n + off, pg * n + off
             for x, gx in pairs:
                 if x in p:
@@ -226,7 +293,7 @@ def merging_decide(
         return Definable(FALSE)
     store = OrbitStore(alg, bundle, debug=debug)
     universe = frozenset(range(alg.size))
-    parent, tagged = store.parent, store.type
+    parent, tagged, holders = store.parent, store.type, store.holders
     # (node, its pending tuples); a node is a subuniverse, entered at most once
     stack = [(universe, _coded_tuples(universe, store))]
     while stack:
@@ -236,6 +303,8 @@ def merging_decide(
                 parent[c] = c = parent[parent[c]]
             if c in tagged:
                 continue
+            if reduce(and_, map(holders.__getitem__, a)):  # one covered subuniverse holds every entry
+                continue
             sig = iso_type(alg, a)
             type_a, universe_a = sig.key, sig.universe
             if trace:
@@ -243,18 +312,24 @@ def merging_decide(
             # a tagged orbit's donor generates a node, so a hit for a tuple
             # generating this node is one of its generators: a node of the
             # same type entered earlier was finished, and then this node's
-            # first generator would have merged with it instead of descending
+            # first generator would have merged with it instead of descending.
+            # Any other hit is a cross hit: its universe is smaller than this
+            # node, so it is no node on the stack but a finished one
             generates_node = len(universe_a) == len(node)
             hit = store.find_tagged(len(a), type_a)
             if hit is not None:
-                gamma = Subisomorphism(universe_a, store.universe[hit])
+                image = store.universe[hit]
                 if trace:
-                    matched = "a generator" if generates_node else "a tagged orbit"
-                    trace(f"  matches {matched}; merging along {gamma!r}")
-                if not try_merge_orbits(gamma, store):
+                    how = "a generator; merging" if generates_node else "a tagged orbit; covering"
+                    trace(f"  matches {how} along {Subisomorphism(universe_a, image)!r}")
+                if generates_node:
+                    consistent = try_merge_orbits(Subisomorphism(universe_a, image), store)
+                else:
+                    consistent = store.cover(universe_a, image)
+                if not consistent:
                     if trace:
                         trace(f"  conflict at {store.conflict}")
-                    return _conflict_decision(store, bundle, gamma)
+                    return _conflict_decision(store, bundle, Subisomorphism(universe_a, image))
                 continue
             store.tag_orbit(a, type_a, universe_a)
             if generates_node:

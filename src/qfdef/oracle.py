@@ -206,9 +206,10 @@ def graph_subisomorphisms(g: Graph, *, budget: int = DEFAULT_BUDGET) -> Iterator
 
 def graph_oracle_definable(g: Graph, rel: Relation, *, budget: int = DEFAULT_BUDGET) -> bool:
     """Brute-force graph-side definability; small graphs only."""
-    for v in {x for t in rel.tuples for x in t}:
-        if not (0 <= v < g.vertices):
-            raise ValueError(f"relation mentions vertex {v} outside the graph")
+    for t in rel.tuples:  # Relation.check_over's rule: an int, and a vertex
+        for v in t:
+            if type(v) is not int or not 0 <= v < g.vertices:
+                raise ValueError(f"tuple {t} has vertex {v!r} outside the graph's 0..{g.vertices - 1}")
     for gamma in graph_subisomorphisms(g, budget=budget):
         for a in sorted(rel.tuples):
             if all(x in gamma for x in a):

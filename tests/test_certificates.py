@@ -48,6 +48,15 @@ def test_rejects_each_defect(diamond, diamond_order, diamond_rprime):
     for gamma in (Subisomorphism((1, 2), (2, 1)), Subisomorphism((), ())):
         with pytest.raises(ValueError, match="subisomorphism"):
             check_decision(diamond, uu, NotDefinable((1, 2), (2, 1), gamma))
+    # entries outside the universe: read past the tables' end, or wrapped round by a negative index
+    three = Relation.of(1, [(3,)])
+    for out, gamma in (
+        ((7,), Subisomorphism((3,), (7,))),
+        ((0,), Subisomorphism((3, 99), (0, 1))),
+        ((-1,), Subisomorphism((3,), (-1,))),
+    ):
+        with pytest.raises(ValueError, match="subisomorphism"):
+            check_decision(diamond, three, NotDefinable((3,), out, gamma))
     # a gamma whose domain misses a witness entry
     with pytest.raises(ValueError, match="does not map"):
         check_decision(diamond, Relation.of(2, [(0, 3)]), NotDefinable((0, 3), (3, 0), Subisomorphism((0,), (0,))))

@@ -152,8 +152,13 @@ def test_try_merge_matches_naive_merge(spec, arity):
             tuples = [a for k in spec for a in itertools.permutations(range(n), k)]
             orbits = {a: {a} for a in tuples}
             for gamma in gammas:
-                ok = try_merge_orbits(gamma, store)
                 conflict = _naive_merge(orbits, bundle, spec, gamma)
+                # the cover's check reads memberships only, so the union state cannot move its verdict
+                store.conflict = None
+                assert store.cover(gamma.domain, gamma.image) == (conflict is None)
+                assert store.conflict == conflict
+                store.conflict = None
+                ok = try_merge_orbits(gamma, store)
                 assert ok == (conflict is None)
                 assert store.conflict == conflict
                 roots = {}
@@ -260,6 +265,16 @@ def test_debug_suite_catches_a_corrupted_store(diamond, diamond_order):
 
     with pytest.raises(AssertionError, match="untyped"):
         store.check_all_known(frozenset(range(4)))
+    # a debug cover checks its map with a full table scan, then that its image is typed
+    with pytest.raises(AssertionError, match="subisomorphism"):
+        store.cover((0, 1, 2, 3), (1, 0, 2, 3))  # swapping bottom and u
+    with pytest.raises(AssertionError, match="untyped"):
+        store.cover((0, 1, 2, 3), (0, 2, 1, 3))
+
+    # a covered tuple counts as typed
+    store = OrbitStore(diamond, decompose(diamond_order))
+    assert store.cover((0, 1, 2, 3), (0, 2, 1, 3))
+    store.check_all_known(frozenset(range(4)))
 
 
 def test_agreement_with_oracle():

@@ -140,6 +140,11 @@ def test_graph_oracle_single_edge():
     g = Graph.of(2, [(0, 1)])
     rel = Relation.of(2, [(0, 1), (1, 0)])
     assert graph_oracle_definable(g, rel)
+    # entries as Relation.check_over takes them: an int, and a vertex
+    g = Graph.of(3, [(0, 1)])
+    for bad in ((0.5, 1), (True, 2), (None, 1), (0, 3)):
+        with pytest.raises(ValueError, match="outside the graph"):
+            graph_oracle_definable(g, Relation.of(2, [bad]))
 
 
 def test_graph_oracle_empty_graph_symmetric_target():
