@@ -345,9 +345,13 @@ class Relation:
         return cls(arity, frozenset(tuple(t) for t in tuples))
 
     def check_over(self, alg: Algebra) -> None:
-        values = set(itertools.chain.from_iterable(self.tuples))
-        # a float such as 0.5 lies between min and max, so each distinct entry's type is checked
-        if set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < alg.size):
+        entries = list(itertools.chain.from_iterable(self.tuples))
+        values = set(entries)
+        # a float such as 0.5 lies between min and max, and a set keeps one of
+        # 1, 1.0 and True, so the type of every entry is checked
+        if operator.countOf(map(type, entries), int) == len(entries) and (
+            not values or 0 <= min(values) and max(values) < alg.size
+        ):
             return
         for t in self.tuples:  # only to name the offending tuple
             for v in t:
@@ -410,15 +414,36 @@ def tuple_codes(tuples: Collection[Sequence[int]], n: int) -> Iterator[int]:
     return codes
 
 
-def permutation_columns(n: int, k: int) -> list[list[int]]:
+def permutation_columns(n: int, k: int) -> list[bytes] | list[list[int]]:
     """The variable columns of the repetition-free k-tuples, k <= n, in
     lexicographic order.  Column j is entry j of each repetition-free
     (j+1)-tuple, repeated once per way to extend it to k entries, so no
-    k-tuple is built."""
-    return [
-        _runs(map(operator.itemgetter(j), itertools.permutations(range(n), j + 1)), math.perm(n - 1 - j, k - 1 - j))
-        for j in range(k)
+    k-tuple is built.
+
+    Up to n = 256 the columns are `bytes`: an earlier column joins runs of
+    one byte, and the last is, for each repetition-free (k-1)-prefix p in
+    order, the n elements with p's entries deleted by one `translate`.
+    Above that they are lists, for 16-bit lanes."""
+    if lane_width(n) > 8:
+        return [
+            _runs(map(operator.itemgetter(j), itertools.permutations(range(n), j + 1)), math.perm(n - 1 - j, k - 1 - j))
+            for j in range(k)
+        ]
+    elements = bytes(range(n))
+    singles = [elements[v : v + 1] for v in range(n)]
+    columns = [
+        b"".join(
+            map(
+                operator.mul,
+                map(singles.__getitem__, map(operator.itemgetter(j), itertools.permutations(range(n), j + 1))),
+                itertools.repeat(math.perm(n - 1 - j, k - 1 - j)),
+            )
+        )
+        for j in range(k - 1)
     ]
+    prefixes = map(bytes, itertools.permutations(range(n), k - 1))
+    columns.append(b"".join(map(elements.translate, itertools.repeat(None), prefixes)))
+    return columns
 
 
 def _runs(values: Iterable[int], r: int) -> list[int]:
@@ -475,6 +500,16 @@ class TermColumns:
     byte lanes, `tab[x*n + y]` for binary ones, the row-major index for
     higher arities), with no per-tuple recursion.
 
+    On byte lanes, a kernel of arity k >= 2 keeps a diagonal: a kernel of
+    n rows in which every variable column is 0..n-1, so row v is
+    (v, ..., v).  A term that reads at most one variable x_j (x0 if none)
+    takes t(a) = t̂(a_j), where t̂ is its column on the diagonal, its table
+    over A: its column is one `translate` of x_j's column through t̂, and
+    its subterms are evaluated on the diagonal only.  The diagonal takes
+    the gathers itself and holds no diagonal, so no kernel refers back to
+    the kernel it was built for.  Kernels built with `share`, such as the
+    ones `restrict` makes, share its table rows and diagonal.
+
     A set of rows is a mask in the same lanes, the top bit of lane i set
     for row i.  `agree(t, s)`, the mask of rows where two terms agree, is
     one xor of their columns and a zero-lane test over all rows at once;
@@ -482,16 +517,25 @@ class TermColumns:
     the rows in a set of tuples.  `full` is the mask of every row.
     """
 
-    def __init__(self, alg: Algebra, variables: Sequence[Sequence[int]]):
+    def __init__(self, alg: Algebra, variables: Sequence[Sequence[int]], share: TermColumns | None = None):
+        """`share` is a kernel over the same algebra and arity whose table
+        rows, diagonal and term-variable memo this one uses."""
         self.alg = alg
         self.arity = len(variables)
         self.length = len(variables[0]) if variables else 0
         self.width = lane_width(alg.size)
         self._columns: dict[Term, int] = {Var(j): pack(col, self.width) for j, col in enumerate(variables)}
-        self._table_rows: dict[str, list[tuple[int, ...]]] = {}
         w = self.width
         self.full = int.from_bytes((1 << w - 1).to_bytes(w // 8, "little") * self.length, "little")
         self._low = self.full - (self.full >> w - 1)  # every lane's low `width - 1` bits
+        if share is not None:
+            self._table_rows, self._reads, self._diagonal = share._table_rows, share._reads, share._diagonal
+            return
+        self._table_rows: dict[str, list[tuple[int, ...]]] = {}
+        self._reads: dict[Term, int] = {}
+        self._diagonal: TermColumns | None = None
+        if self.arity > 1 and w == 8:
+            self._diagonal = TermColumns(alg, [range(alg.size)] * self.arity, self)
 
     def column(self, t: Term) -> int:
         col = self._columns.get(t)
@@ -529,9 +573,17 @@ class TermColumns:
 
     def rows(self, mask: int) -> list[int]:
         """The rows of a mask, ascending."""
+        return list(itertools.compress(range(self.length), self._tops(mask)))
+
+    def gather(self, mask: int, rows: Sequence[int]) -> int:
+        """The mask of `mask`'s rows among `rows`, in the lanes of the
+        kernel that `restrict(rows, ...)` makes."""
+        return pack(map(self._tops(mask).__getitem__, rows), self.width) << self.width - 8
+
+    def _tops(self, mask: int) -> bytes:
+        """The top byte of each lane: 0x80 for a row in the mask, else 0."""
         step = self.width // 8
-        tops = mask.to_bytes(step * self.length, "little")[step - 1 :: step]
-        return list(itertools.compress(range(len(tops)), tops))
+        return mask.to_bytes(step * self.length, "little")[step - 1 :: step]
 
     def tuples(self, rows: Sequence[int], terms: Iterable[Term] | None = None) -> list[tuple[int, ...]]:
         """The tuples of the given rows, or at each row the values of `terms`."""
@@ -542,8 +594,9 @@ class TermColumns:
     def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
         """A kernel over the given rows, seeded with the columns of the
         variables and of `terms` gathered at those rows."""
-        sub = TermColumns(self.alg, [list(map(self._values(Var(j)).__getitem__, rows)) for j in range(self.arity)])
-        sub._table_rows = self._table_rows
+        sub = TermColumns(
+            self.alg, [list(map(self._values(Var(j)).__getitem__, rows)) for j in range(self.arity)], self
+        )
         for t in terms:
             if t not in sub._columns:
                 sub._columns[t] = pack(map(self._values(t).__getitem__, rows), self.width)
@@ -560,6 +613,12 @@ class TermColumns:
             raise ValueError(
                 f"symbol {t.symbol!r} applied to {len(t.args)} arguments, arity is {op.arity}"
             )
+        if self._diagonal is not None:
+            j = self._read(t)
+            if j != -2:
+                # values are below n <= 256, so the table's padding is never read
+                table = self._diagonal._values(t).ljust(256, b"\0")
+                return int.from_bytes(self._values(Var(max(j, 0))).translate(table), "little")
         cols = [self._values(s) for s in t.args]
         if op.arity == 1 and self.width == 8:
             # values are below n <= 256, so the table's padding is never read
@@ -576,6 +635,21 @@ class TermColumns:
             index = [i * n + x for i, x in zip(index, c)]
         return pack([tab[i] for i in index], self.width)
 
+    def _read(self, t: Term) -> int:
+        """The index of the one variable `t` reads, -1 if it reads none and
+        -2 if it reads several."""
+        if isinstance(t, Var):
+            return t.index
+        j = self._reads.get(t)
+        if j is None:
+            j = -1
+            for s in t.args:
+                i = self._read(s)
+                if i != j and i != -1:
+                    j = i if j == -1 else -2
+            self._reads[t] = j
+        return j
+
 
 # rows per kernel in `extension`: whole-space columns of every subterm
 # would hold |A|^k values each, so the product space is walked in chunks
@@ -591,8 +665,9 @@ def extension(alg: Algebra, phi: QfFormula, k: int) -> Relation:
         raise ValueError(f"formula uses x{max(bad)} but arity is {k}")
     product = itertools.product(range(alg.size), repeat=k)
     hits: list[tuple[int, ...]] = []
+    kernel = None  # each chunk shares the first's table rows and diagonal
     while chunk := list(itertools.islice(product, EXTENSION_CHUNK)):
-        kernel = TermColumns(alg, list(zip(*chunk)))
+        kernel = TermColumns(alg, list(zip(*chunk)), kernel)
         hits.extend(map(chunk.__getitem__, kernel.rows(kernel.holds(phi))))
     return Relation(k, frozenset(hits))
 

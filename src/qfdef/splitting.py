@@ -15,23 +15,26 @@ This is partition refinement over an indexed space (Paige and Tarjan,
 "Three partition refinement algorithms", 1987).  A `TermColumns` kernel
 is its k variable columns, and it evaluates each further term once into
 a column over all its rows: one int holding the term's value at row i in
-lane i, a byte per row up to n = 256.  All targets of arity k in a
-decision start on one kernel over the repetition-free k-tuples in
-lexicographic order (`permutation_columns`), at every arity.  A block is
-a row mask, an int with one flag per row in the kernel's lanes; the
-initial block is every row, and target membership is one such mask,
-`TermColumns.members`.  A split is bit arithmetic over whole masks: the
-rows where the new term agrees with a witness are `rest & agree(t, s)`,
-one xor of the two columns and a zero-lane test, and they leave the rest
-by `rest ^= eq`.
+lane i, a byte per row up to n = 256, where a term of at most one
+variable is one `translate` of that variable's column.  All targets of
+arity k in a decision start on one kernel over the repetition-free
+k-tuples in lexicographic order (`permutation_columns`), at every arity.
+A block is a row mask, an int with one flag per row in the kernel's
+lanes; the initial block is every row, and target membership is one such
+mask: scattered from the target's tuple codes for a target under
+`SCATTER_SHARE` of the rows, else `TermColumns.members` (`_target_mask`).
+A split is bit arithmetic over whole masks: the rows where the new term
+agrees with a witness are `rest & agree(t, s)`, one xor of the two
+columns and a zero-lane test, and they leave the rest by `rest ^= eq`.
 
 Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's
 rows is rebased onto a kernel over just its own rows, its variable and
-witness columns gathered at those rows; its successors inherit that
-smaller space.  Rows become tuples only in the debug checks and in
-`extract_counterexample`, which reads the witnesses' values at the
-terminal block's first row in the target and its first row outside it.
+witness columns and its membership mask gathered at those rows; its
+successors inherit that smaller space.  Rows become tuples only in the
+debug checks and in `extract_counterexample`, which reads the witnesses'
+values at the terminal block's first row in the target and its first row
+outside it.
 
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
@@ -59,12 +62,20 @@ from .algebra import (
     extension,
     generate_terms,
     permutation_columns,
+    tuple_codes,
+    unpack,
 )
 from .decision import Decision, Definable, NotDefinable
 from .isotype import Subisomorphism, iso_type
 from .preprocess import assemble, decompose, expand, recombine
 
 Trace = Callable[[str], None]
+
+# a target with fewer tuples than this share of its base kernel's rows gets
+# its mask by scattering its codes, about 125-180 ns a target tuple plus
+# 60-100 µs of reading back at n = 64, k = 2, where `TermColumns.members`
+# costs about 50-75 ns a kernel row (`timeit`): the two meet near a third
+SCATTER_SHARE = 1 / 3
 
 # a popped mixed block holding less than this share of its space's rows
 # moves to a kernel over its own rows; set 0 to never and 2 to always move
@@ -296,12 +307,41 @@ def _tuples(b: Block, columns: TermColumns) -> set[tuple[int, ...]]:
     return set(columns.tuples(columns.rows(b.tuples)))
 
 
-def _compact(columns: TermColumns, b: Block, target: frozenset) -> tuple[TermColumns, int]:
+def _compact(columns: TermColumns, b: Block, member: int) -> tuple[TermColumns, int]:
     """Rebase `b` onto a kernel over its own rows; returns the kernel and its
-    membership mask, and sets `b.tuples` to the kernel's full mask."""
-    columns = columns.restrict(columns.rows(b.tuples), b.witnesses)
-    b.tuples = columns.full
-    return columns, columns.members(target)
+    membership mask, gathered from the parent kernel's mask `member` at
+    those rows, and sets `b.tuples` to the kernel's full mask."""
+    rows = columns.rows(b.tuples)
+    sub = columns.restrict(rows, b.witnesses)
+    b.tuples = sub.full
+    return sub, columns.gather(member, rows)
+
+
+def _target_mask(columns: TermColumns, target: frozenset[tuple[int, ...]]) -> int:
+    """The membership mask of `target` on the base kernel `columns`.
+
+    A target smaller than `SCATTER_SHARE` of the kernel's rows, on byte
+    lanes, has its codes scattered into flags over A^k (where those flags
+    take no more bytes than the kernel's variable columns).  The rows
+    below one repetition-free (k-1)-prefix p are p + (x,) for x not in p,
+    one segment of the last variable column, and that segment's mask is
+    one `translate` of it through p's n flags.  Other targets take
+    `TermColumns.members`, a lookup per row."""
+    n, k, length = columns.alg.size, columns.arity, columns.length
+    if columns.width > 8 or len(target) >= SCATTER_SHARE * length or n**k > k * length:
+        return columns.members(target)
+    flags = bytearray(n**k)
+    for c in tuple_codes(target, n):
+        flags[c] = 0x80
+    if k == 1:
+        return int.from_bytes(flags, "little")
+    m = n - k + 1  # rows below each prefix
+    last = unpack(columns.column(Var(k - 1)), 8, length)
+    segments = map(last.__getitem__, map(slice, range(0, length, m), range(m, length + m, m)))
+    starts = [c * n for c in tuple_codes(list(itertools.permutations(range(n), k - 1)), n)]
+    rows = map(flags.__getitem__, map(slice, starts, map(n.__add__, starts)))
+    tables = map(bytearray.ljust, rows, itertools.repeat(256), itertools.repeat(b"\0"))
+    return int.from_bytes(b"".join(map(bytes.translate, segments, tables)), "little")
 
 
 def _single_target(
@@ -320,7 +360,7 @@ def _single_target(
     of the terminal mixed block.  Each pending block travels with its
     kernel and that kernel's membership mask.
     """
-    alg, k, member = columns.alg, columns.arity, columns.members(target)
+    alg, k, member = columns.alg, columns.arity, _target_mask(columns, target)
     checker = _DebugChecker(alg, target, k, check_term_repr) if debug else None
     initial = Block(columns.full, (), (), [Var(i) for i in range(k)], (), 0)
     stats.blocks_created += 1
@@ -345,7 +385,7 @@ def _single_target(
                 checker.check_terminal(b, columns, member)
             return False, extract_counterexample(b, columns, member)
         if b.tuples.bit_count() < COMPACT_SHARE * columns.length:
-            columns, member = _compact(columns, b, target)
+            columns, member = _compact(columns, b, member)
         successors = process_mixed_block(alg, b, columns, stats)
         if checker:
             for s in successors:

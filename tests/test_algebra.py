@@ -246,6 +246,18 @@ def test_check_over_bounds_and_message(diamond):
             decide(diamond, half)
     with pytest.raises(ValueError, match="0.5"):
         check_decision(diamond, half, Definable(FALSE))
+    # 1.0 and True equal 1, so a set of the entries would keep only one of them
+    for bad, v in (((1.0, 0), 1.0), ((True, 0), True)):
+        rel = Relation.of(2, [(0, 1), bad])
+        message = f"tuple {bad} has entry {v!r} outside 0..3"
+        with pytest.raises(ValueError) as e:
+            rel.check_over(diamond)
+        assert str(e.value) == message
+        for decide in (splitting_decide, merging_decide, oracle_definable):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                decide(diamond, rel)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_decision(diamond, rel, Definable(FALSE))
 
 
 def test_algebra_json_round_trip(tmp_path, diamond):

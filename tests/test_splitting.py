@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -328,10 +329,13 @@ def test_every_splitting_kernel_holds_only_the_repetition_free_rows(n, k, monkey
         base.append(columns)
         return single_target(columns, *args, **kwargs)
 
-    def spy_compact(*args):
-        columns, member = compact(*args)
+    def spy_compact(parent, b, member):
+        inside = parent.tuples(parent.rows(b.tuples & member))
+        columns, compacted_member = compact(parent, b, member)
         compacted.append(columns)
-        return columns, member
+        # the mask gathered from the parent's is the block's members of the target
+        assert compacted_member == columns.members(frozenset(inside))
+        return columns, compacted_member
 
     monkeypatch.setattr(qfdef.splitting, "_single_target", spy_single_target)
     monkeypatch.setattr(qfdef.splitting, "_compact", spy_compact)
@@ -354,6 +358,13 @@ def test_every_splitting_kernel_holds_only_the_repetition_free_rows(n, k, monkey
         assert columns.tuples(range(columns.length)) == perms
         target = frozenset(perms[::3])
         assert columns.tuples(columns.rows(columns.members(target))) == sorted(target)
+        # the mask splitting starts from, for a target of one tuple and for sizes on
+        # either side of the switch from scattering tuple codes to `members`
+        at = math.ceil(qfdef.splitting.SCATTER_SHARE * columns.length)
+        rng = random.Random(columns.length)
+        for size in sorted({1, at - 1, at, at + 1} & set(range(1, columns.length + 1))):
+            target = frozenset(rng.sample(perms, size))
+            assert qfdef.splitting._target_mask(columns, target) == columns.members(target), size
     for columns in compacted:
         space = columns.tuples(range(columns.length))
         assert space == sorted(space) and all(len(set(a)) == columns.arity for a in space)

@@ -225,22 +225,39 @@ def test_product_space_rows_and_variable_columns(n, k):
     assert sub.rows(sub.members({tuples[r] for r in sample[::2]})) == list(range(0, len(sample), 2))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 257])
 def test_permutation_columns_transpose_the_permutations(n):
-    for k in range(1, n + 1):
-        assert permutation_columns(n, k) == transposed(list(itertools.permutations(range(n), k)), k)
+    # bytes up to n = 256, lists above it for 16-bit lanes, there at k = 2 only
+    for k in range(1, n + 1) if n < 257 else [2]:
+        columns = permutation_columns(n, k)
+        assert all(isinstance(col, bytes if n <= 256 else list) for col in columns)
+        assert [list(col) for col in columns] == transposed(list(itertools.permutations(range(n), k)), k)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
-def test_kernels_from_columns_match_the_references(n):
-    # a kernel over A**2, one over the repetition-free pairs, and one
-    # restricted from each to a sample of its rows, at both lane widths
+def test_kernels_from_columns_match_the_references(n, monkeypatch):
+    # a kernel over A**2, one over the repetition-free pairs, one restricted
+    # from each to a sample of its rows, and three of extension's chunks, at
+    # both lane widths: on byte lanes a term of at most one variable takes
+    # its table off the kernel's diagonal, at 16-bit lanes a gather
     alg = Algebra(
         n,
-        [("s", 1, [(x + 1) % n for x in range(n)]), ("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)])],
+        [
+            ("s", 1, [(x + 1) % n for x in range(n)]),
+            ("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)]),
+            ("e", 0, [n - 2]),
+        ],
     )
-    x0, x1 = Var(0), Var(1)
+    x0, x1, e = Var(0), Var(1), App("e", ())
     terms = [x0, x1, App("s", (x0,)), App("m", (x0, x1)), App("m", (App("s", (x1,)), x0)), App("m", (x1, x1))]
+    # one variable, or none: each column is a relabelling of x0's or x1's
+    lone = [
+        App("m", (App("m", (x0, x0)), x0)),
+        App("m", (App("s", (x1,)), App("m", (x1, e)))),
+        App("s", (App("m", (e, e)),)),
+        App("m", (e, App("s", (e,)))),
+        App("e", (x1,)),
+    ]
     rng = random.Random(n)
     kernels = []
     pairs, perms = list(itertools.product(range(n), repeat=2)), list(itertools.permutations(range(n), 2))
@@ -248,17 +265,33 @@ def test_kernels_from_columns_match_the_references(n):
         kernel = TermColumns(alg, variables)
         kernels.append((kernel, tuples))
         rows = sorted(rng.sample(range(len(tuples)), 500))
-        kernels.append((kernel.restrict(rows, terms[2:4]), [tuples[r] for r in rows]))
+        kernels.append((kernel.restrict(rows, terms[2:4] + lone[:1]), [tuples[r] for r in rows]))
+    chunks = []
+    holds = TermColumns.holds
+
+    def spy_holds(kernel, phi):
+        if not chunks or chunks[-1] is not kernel:  # `holds` recurses into phi's children
+            chunks.append(kernel)
+        return holds(kernel, phi)
+
+    monkeypatch.setattr(TermColumns, "holds", spy_holds)
+    phi = Or([Eq(t, x0) for t in lone])
+    assert extension(alg, phi, 2).tuples == frozenset(a for a in pairs if eval_formula(alg, phi, a))
+    monkeypatch.undo()
+    assert len(chunks) == -(-n * n // EXTENSION_CHUNK)
+    kernels += [(c, c.tuples(range(c.length))) for c in (chunks[0], chunks[1], chunks[-1])]
     for kernel, tuples in kernels:
         assert kernel.length == len(tuples)
         assert kernel.tuples(range(len(tuples))) == tuples
-        sample = rng.sample(range(len(tuples)), 200)
+        sample = rng.sample(range(len(tuples)), min(200, len(tuples)))
         assert kernel.tuples(sample) == [tuples[r] for r in sample]
         for t in terms:
             col = values(kernel, t)
             assert [col[r] for r in sample] == [eval_term(alg, t, tuples[r]) for r in sample], t
+        for t in lone:
+            assert values(kernel, t) == [eval_term(alg, t, a) for a in tuples], t
         for t, u in itertools.combinations(terms, 2):
             ct, cu = values(kernel, t), values(kernel, u)
             assert kernel.rows(kernel.agree(t, u)) == [r for r in range(len(tuples)) if ct[r] == cu[r]]
-        target = frozenset(rng.sample(tuples, 300)) | {(0, 1), (n - 1, n - 2)}
+        target = frozenset(rng.sample(tuples, min(300, len(tuples) // 2))) | {(0, 1), (n - 1, n - 2)}
         assert kernel.rows(kernel.members(target)) == [r for r, a in enumerate(tuples) if a in target]
