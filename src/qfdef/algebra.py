@@ -535,6 +535,7 @@ class TermColumns:
         self._reads: dict[Term, int] = {}
         self._diagonal: TermColumns | None = None
         if self.arity > 1 and w == 8:
+            # built while this kernel has none, so the diagonal has none either
             self._diagonal = TermColumns(alg, [range(alg.size)] * self.arity, self)
 
     def column(self, t: Term) -> int:
@@ -616,6 +617,7 @@ class TermColumns:
         if self._diagonal is not None:
             j = self._read(t)
             if j != -2:
+                # t's value at a row is its diagonal value at the row's x_j;
                 # values are below n <= 256, so the table's padding is never read
                 table = self._diagonal._values(t).ljust(256, b"\0")
                 return int.from_bytes(self._values(Var(max(j, 0))).translate(table), "little")
