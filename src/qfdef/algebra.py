@@ -21,7 +21,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +57,16 @@ class Var(Term):
         return f"x{self.index}"
 
 
+_depth = operator.attrgetter("depth")
+
+
 class App(Term):
     __slots__ = ("symbol", "args", "depth", "_hash")
 
     def __init__(self, symbol: str, args: Sequence[Term] = ()):
         self.symbol = symbol
         self.args = tuple(args)
-        self.depth = 1 + max((t.depth for t in self.args), default=-1)
+        self.depth = 1 + max(map(_depth, self.args)) if self.args else 0
         self._hash = hash(("app", symbol, self.args))
 
     def __eq__(self, other):
@@ -486,6 +489,15 @@ def _wide_lanes(values: Iterable[int] | bytes, width: int):
     return lanes
 
 
+# a binary application with one argument constant on each run of rows that
+# share x0 takes one `translate` per run where the kernel's rows average at
+# least this many a run.  At n = 64 a run costs about 0.17 µs plus 6 ns a row,
+# and finding a kernel's runs, once, about 0.19 µs a run, where the row-by-row
+# gather costs about 32 ns a row (`timeit`): over 4,032 rows the runs take
+# about 110 µs at 8 rows a run and 35 µs at 63, the gather about 129 µs
+RUN_ROWS = 8
+
+
 class TermColumns:
     """Term values as columns over a fixed sequence of k-tuples, the rows.
     A kernel is built from its k variable columns: row i is entry i of
@@ -510,11 +522,26 @@ class TermColumns:
     the kernel it was built for.  Kernels built with `share`, such as the
     ones `restrict` makes, share its table rows and diagonal.
 
+    The same holds for one argument of a binary application f(s, u) that
+    reads x0 alone or no variable: on a run of rows that share x0 = v it is
+    the constant c = ŝ(v), so the run's column is one `translate` of the
+    other argument's run through f's row c (or its column c, for a
+    constant second argument), and the application needs no gather.  Runs
+    are the maximal stretches of rows with one x0 (`_x0_runs`): rows sorted
+    by x0, as the base kernel's (`repetition_free`) and every kernel
+    `restrict` makes from one are, have few.  Where runs average fewer than
+    `RUN_ROWS` rows, as on shuffled rows, the application gathers.
+
     A set of rows is a mask in the same lanes, the top bit of lane i set
     for row i.  `agree(t, s)`, the mask of rows where two terms agree, is
     one xor of their columns and a zero-lane test over all rows at once;
-    `holds(phi)` combines such masks, and `members(target)` is the mask of
-    the rows in a set of tuples.  `full` is the mask of every row.
+    for n <= 128, where no value sets a lane's top bit, that test is one
+    add and two masks.  `holds(phi)` combines such masks, and
+    `members(target)` is the mask of the rows in a set of tuples.  `full`
+    is the mask of every row.  `select(mask, packed)` lists the lanes of
+    any packed int, a column or a mask, at a mask's rows with no per-row
+    Python step, and `restrict` builds a kernel over those rows from such
+    lane selections.
     """
 
     def __init__(self, alg: Algebra, variables: Sequence[Sequence[int]], share: TermColumns | None = None):
@@ -528,15 +555,27 @@ class TermColumns:
         w = self.width
         self.full = int.from_bytes((1 << w - 1).to_bytes(w // 8, "little") * self.length, "little")
         self._low = self.full - (self.full >> w - 1)  # every lane's low `width - 1` bits
+        self._runs: tuple[bytes, list[slice]] | tuple[()] | None = None  # `_x0_runs`, found once
         if share is not None:
             self._table_rows, self._reads, self._diagonal = share._table_rows, share._reads, share._diagonal
             return
-        self._table_rows: dict[str, list[tuple[int, ...]]] = {}
+        self._table_rows: dict = {}  # symbol: gather rows; (symbol, "runs"): translate tables
         self._reads: dict[Term, int] = {}
         self._diagonal: TermColumns | None = None
         if self.arity > 1 and w == 8:
             # built while this kernel has none, so the diagonal has none either
             self._diagonal = TermColumns(alg, [range(alg.size)] * self.arity, self)
+
+    @classmethod
+    def repetition_free(cls, alg: Algebra, k: int) -> TermColumns:
+        """The kernel over the repetition-free k-tuples in lexicographic
+        order (`permutation_columns`), splitting's base kernel.  Its x0 runs
+        are known: each value leads perm(n-1, k-1) rows."""
+        kernel = cls(alg, permutation_columns(alg.size, k))
+        n, r = alg.size, math.perm(alg.size - 1, k - 1)
+        if kernel.width == 8 and r >= RUN_ROWS:
+            kernel._runs = bytes(range(n)), list(map(slice, range(0, n * r, r), range(r, n * r + r, r)))
+        return kernel
 
     def column(self, t: Term) -> int:
         col = self._columns.get(t)
@@ -549,11 +588,15 @@ class TermColumns:
 
     def agree(self, t: Term, s: Term) -> int:
         """The mask of the rows at which t and s take the same value."""
-        low = self._low
+        low, full = self._low, self.full
         x = self.column(t) ^ self.column(s)
-        # a lane's top bit survives iff the lane is zero: adding `low` carries
-        # into the top bit from any set low bit, and `x` supplies the top bit itself
-        return ~(((x & low) + low) | x | low) & self.full
+        if self.alg.size <= 0x80:
+            # every lane of x is below 0x80, so adding `low` sets a lane's top
+            # bit exactly when the lane is nonzero, and carries into no other lane
+            return (x + low) & full ^ full
+        # a lane's top bit ends up set iff the lane is nonzero: adding `low`
+        # carries into the top bit from any set low bit, and `x` supplies the top bit itself
+        return (((x & low) + low) | x) & full ^ full
 
     def holds(self, phi: QfFormula) -> int:
         """The mask of the rows at which `phi` holds."""
@@ -573,18 +616,32 @@ class TermColumns:
         return pack(map(target.__contains__, rows), self.width) << self.width - 1
 
     def rows(self, mask: int) -> list[int]:
-        """The rows of a mask, ascending."""
+        """The rows of a mask, ascending: an int per kernel row, so only
+        `extension`, the debug checks and tests read masks this way."""
         return list(itertools.compress(range(self.length), self._tops(mask)))
-
-    def gather(self, mask: int, rows: Sequence[int]) -> int:
-        """The mask of `mask`'s rows among `rows`, in the lanes of the
-        kernel that `restrict(rows, ...)` makes."""
-        return pack(map(self._tops(mask).__getitem__, rows), self.width) << self.width - 8
 
     def _tops(self, mask: int) -> bytes:
         """The top byte of each lane: 0x80 for a row in the mask, else 0."""
         step = self.width // 8
         return mask.to_bytes(step * self.length, "little")[step - 1 :: step]
+
+    def select(self, mask: int, packed: int) -> Sequence[int]:
+        """The lanes of `packed`, a column or a mask, at `mask`'s rows in
+        ascending order, as `bytes` on byte lanes and a list of ints at
+        16-bit lanes: `pack` them into a column of the kernel `restrict`
+        makes.  A mask's lanes keep their flags, so they pack into a mask."""
+        return self._selector(mask)(packed)
+
+    def _selector(self, mask: int) -> Callable[[int], Sequence[int]]:
+        if self.alg.size < 0xFF:
+            # no value or mask lane is 0xFF: set every other lane to it, then
+            # delete the 0xFF bytes in one C-level pass
+            drop, length = (self.full | self._low) ^ (mask >> 7) * 0xFF, self.length
+            return lambda packed: (packed | drop).to_bytes(length, "little").translate(None, b"\xff")
+        tops, width, length = self._tops(mask), self.width, self.length
+        if width == 8:
+            return lambda packed: bytes(itertools.compress(unpack(packed, 8, length), tops))
+        return lambda packed: list(itertools.compress(unpack(packed, width, length), tops))
 
     def tuples(self, rows: Sequence[int], terms: Iterable[Term] | None = None) -> list[tuple[int, ...]]:
         """The tuples of the given rows, or at each row the values of `terms`."""
@@ -592,15 +649,14 @@ class TermColumns:
             terms = map(Var, range(self.arity))
         return list(zip(*(map(self._values(t).__getitem__, rows) for t in terms)))
 
-    def restrict(self, rows: Sequence[int], terms: Iterable[Term]) -> TermColumns:
-        """A kernel over the given rows, seeded with the columns of the
-        variables and of `terms` gathered at those rows."""
-        sub = TermColumns(
-            self.alg, [list(map(self._values(Var(j)).__getitem__, rows)) for j in range(self.arity)], self
-        )
+    def restrict(self, mask: int, terms: Iterable[Term]) -> TermColumns:
+        """A kernel over `mask`'s rows in ascending order, seeded with the
+        columns of the variables and of `terms` selected at those rows."""
+        select = self._selector(mask)
+        sub = TermColumns(self.alg, [select(self.column(Var(j))) for j in range(self.arity)], self)
         for t in terms:
             if t not in sub._columns:
-                sub._columns[t] = pack(map(self._values(t).__getitem__, rows), self.width)
+                sub._columns[t] = pack(select(self.column(t)), self.width)
         return sub
 
     def _evaluate(self, t: Term) -> int:
@@ -621,6 +677,10 @@ class TermColumns:
                 # values are below n <= 256, so the table's padding is never read
                 table = self._diagonal._values(t).ljust(256, b"\0")
                 return int.from_bytes(self._values(Var(max(j, 0))).translate(table), "little")
+            if op.arity == 2:
+                col = self._by_runs(op, t.args)
+                if col is not None:
+                    return col
         cols = [self._values(s) for s in t.args]
         if op.arity == 1 and self.width == 8:
             # values are below n <= 256, so the table's padding is never read
@@ -636,6 +696,52 @@ class TermColumns:
         for c in cols[1:]:
             index = [i * n + x for i, x in zip(index, c)]
         return pack([tab[i] for i in index], self.width)
+
+    def _by_runs(self, op: Operation, args: tuple[Term, ...]) -> int | None:
+        """f(s, u) by runs of x0 where s or u reads x0 alone or no variable,
+        or None: the other argument's run through f's row or column at the
+        constant's diagonal value, one `translate` per run."""
+        s, u = args
+        if self._read(s) in (0, -1):
+            side, const, other = 0, s, u
+        elif self._read(u) in (0, -1):
+            side, const, other = 1, u, s
+        else:
+            return None
+        runs = self._x0_runs()
+        if not runs:
+            return None
+        values, slices = runs
+        tables = self._table_rows.get((op.symbol, "runs"))
+        if tables is None:
+            # f's rows f(c, -) and columns f(-, c) as `translate` tables, from one bytes(tab)
+            n, tb = self.alg.size, bytes(op.table)
+            tables = self._table_rows[op.symbol, "runs"] = (
+                [tb[c * n : c * n + n].ljust(256, b"\0") for c in range(n)],
+                [tb[c::n].ljust(256, b"\0") for c in range(n)],
+            )
+        # the constant's value on each run: its diagonal column read at the run's x0
+        consts = values.translate(self._diagonal._values(const).ljust(256, b"\0"))
+        segments = map(self._values(other).__getitem__, slices)
+        return int.from_bytes(b"".join(map(bytes.translate, segments, map(tables[side].__getitem__, consts))), "little")
+
+    def _x0_runs(self) -> tuple[bytes, list[slice]] | tuple[()]:
+        """The maximal runs of rows that share x0, as their x0 values and
+        their slices, or () where they average fewer than `RUN_ROWS` rows.
+        A run starts at row 0 and wherever x0 differs from the row before,
+        the nonzero lanes of x0's column xor itself shifted by one lane."""
+        if self._runs is None:
+            x0, low, length = self.column(Var(0)), self._low, self.length
+            x = x0 ^ x0 << 8
+            starts = (((x & low) + low) | x) & self.full | 0x80
+            if starts.bit_count() * RUN_ROWS > length:
+                self._runs = ()
+            else:
+                # the lanes after each run's first row, up to the next run's
+                gaps = starts.to_bytes(length, "little").split(b"\x80")[1:]
+                ends = list(map(operator.add, itertools.accumulate(map(len, gaps)), range(1, len(gaps) + 1)))
+                self._runs = self.select(starts, x0), list(map(slice, [0, *ends[:-1]], ends))
+        return self._runs
 
     def _read(self, t: Term) -> int:
         """The index of the one variable `t` reads, -1 if it reads none and

@@ -53,9 +53,11 @@ def _trace_printer(enabled: bool):
 
 
 def _parse_tuple(alg: Algebra, text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
         raise ValueError("empty tuple")
+    if "" in parts:  # `1,,2` or `1,2,` is not the tuple (1, 2)
+        raise ValueError(f"empty entry at index {parts.index('')} of tuple {text!r}")
     return tuple(alg.element(p) for p in parts)
 
 

@@ -16,9 +16,11 @@ This is partition refinement over an indexed space (Paige and Tarjan,
 is its k variable columns, and it evaluates each further term once into
 a column over all its rows: one int holding the term's value at row i in
 lane i, a byte per row up to n = 256, where a term of at most one
-variable is one `translate` of that variable's column.  All targets of
-arity k in a decision start on one kernel over the repetition-free
-k-tuples in lexicographic order (`permutation_columns`), at every arity.
+variable is one `translate` of that variable's column, and a binary
+application with one argument of x0 alone is one `translate` per run of
+rows that share x0.  All targets of arity k in a decision start on one
+kernel over the repetition-free k-tuples in lexicographic order
+(`TermColumns.repetition_free`), at every arity.
 A block is a row mask, an int with one flag per row in the kernel's
 lanes; the initial block is every row, and target membership is one such
 mask: scattered from the target's tuple codes for a target under
@@ -30,11 +32,11 @@ columns and a zero-lane test, and they leave the rest by `rest ^= eq`.
 Whole-space masks cost time in the size of the space, not of the block,
 so a popped mixed block holding less than `COMPACT_SHARE` of its space's
 rows is rebased onto a kernel over just its own rows, its variable and
-witness columns and its membership mask gathered at those rows; its
-successors inherit that smaller space.  Rows become tuples only in the
-debug checks and in `extract_counterexample`, which reads the witnesses'
-values at the terminal block's first row in the target and its first row
-outside it.
+witness columns and its membership mask selected lane by lane at those
+rows (`TermColumns.select`); its successors inherit that smaller space.
+Rows become tuples only in the debug checks and in
+`extract_counterexample`, which reads the witnesses' values at the
+terminal block's first row in the target and its first row outside it.
 
 Block formulas are kept as flat literal tuples sharing structure between
 parent and child blocks; they are only assembled into formula trees (and
@@ -61,7 +63,7 @@ from .algebra import (
     Var,
     extension,
     generate_terms,
-    permutation_columns,
+    pack,
     tuple_codes,
     unpack,
 )
@@ -309,12 +311,14 @@ def _tuples(b: Block, columns: TermColumns) -> set[tuple[int, ...]]:
 
 def _compact(columns: TermColumns, b: Block, member: int) -> tuple[TermColumns, int]:
     """Rebase `b` onto a kernel over its own rows; returns the kernel and its
-    membership mask, gathered from the parent kernel's mask `member` at
-    those rows, and sets `b.tuples` to the kernel's full mask."""
-    rows = columns.rows(b.tuples)
-    sub = columns.restrict(rows, b.witnesses)
+    membership mask, and sets `b.tuples` to the kernel's full mask.  The
+    variable and witness columns and the parent kernel's mask `member` are
+    lane selections at the block's rows (`TermColumns.select`), so no row
+    number is built, and the mask's flags carry over as they are."""
+    sub = columns.restrict(b.tuples, b.witnesses)
+    member = pack(columns.select(b.tuples, member), columns.width)
     b.tuples = sub.full
-    return sub, columns.gather(member, rows)
+    return sub, member
 
 
 def _target_mask(columns: TermColumns, target: frozenset[tuple[int, ...]]) -> int:
@@ -425,7 +429,7 @@ def splitting_decide(
         if trace:
             trace(f"target of arity {target.arity} with {len(target.tuples)} tuples")
         if target.arity not in kernels:
-            kernels[target.arity] = TermColumns(alg, permutation_columns(alg.size, target.arity))
+            kernels[target.arity] = TermColumns.repetition_free(alg, target.arity)
         ok, payload = _single_target(
             kernels[target.arity],
             target.tuples,

@@ -99,6 +99,22 @@ def test_isotype_matches_canonical_partition(capsys, diamond_files):
     assert doc["universe"] == ["u", "u'", "⊥", "⊤"]
 
 
+@pytest.mark.parametrize("text,index", [("1,,2", 1), ("1,2,", 2), (",1", 0)])
+def test_isotype_rejects_an_empty_tuple_entry(capsys, diamond_files, text, index):
+    alg, _, _ = diamond_files
+    code = main(["isotype", "--algebra", alg, "--tuple", text])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith(f"error: empty entry at index {index} of tuple {text!r}")
+
+
+def test_isotype_allows_spaces_around_tuple_entries(capsys, diamond_files):
+    alg, _, _ = diamond_files
+    assert run(capsys, ["isotype", "--algebra", alg, "--tuple", " 1, 2"]) == run(
+        capsys, ["isotype", "--algebra", alg, "--tuple", "1,2"]
+    )
+
+
 def test_isotype_trace_includes_terms(capsys, diamond_files):
     alg, _, _ = diamond_files
     code, out = run(capsys, ["isotype", "--algebra", alg, "--tuple", "1,2,0", "--trace"])

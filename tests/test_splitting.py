@@ -218,7 +218,7 @@ def test_extract_counterexample_reads_the_least_rows_of_a_restricted_kernel():
     for row, a in enumerate(columns.tuples(range(columns.length))):
         by_type.setdefault(iso_type(alg, a).key, []).append(row)
     rows = max(by_type.values(), key=len)[1::2]
-    sub = columns.restrict(rows, [X0])
+    sub = columns.restrict(sum(1 << 8 * r + 7 for r in rows), [X0])
     space = sub.tuples(range(sub.length))
     assert space == sorted(space) and len(space) >= 6
     target = frozenset(space[1::3])
@@ -322,23 +322,32 @@ def test_every_splitting_kernel_holds_only_the_repetition_free_rows(n, k, monkey
     # A**k has n**k rows and n!/(n-k)! of them are repetition-free (20 of 25
     # at n = 5, k = 2, 120 of 3125 at n = k = 5); both algebras have
     # automorphisms, so planted negatives exist
-    base, compacted = [], []
-    single_target, compact = qfdef.splitting._single_target, qfdef.splitting._compact
+    base, compacted, deciding = [], [], []
+    single_target, compact, rows = qfdef.splitting._single_target, qfdef.splitting._compact, TermColumns.rows
 
     def spy_single_target(columns, *args, **kwargs):
         base.append(columns)
         return single_target(columns, *args, **kwargs)
 
+    def spy_rows(columns, mask):
+        # an int per kernel row: only `extension`, the debug checks and tests may list rows
+        if deciding:
+            raise AssertionError("TermColumns.rows called by a decision without debug")
+        return rows(columns, mask)
+
     def spy_compact(parent, b, member):
-        inside = parent.tuples(parent.rows(b.tuples & member))
+        w, mask = parent.width, b.tuples & member
+        tuples = parent.tuples(range(parent.length))
+        inside = [a for r, a in enumerate(tuples) if mask >> w * r + w - 1 & 1]
         columns, compacted_member = compact(parent, b, member)
         compacted.append(columns)
-        # the mask gathered from the parent's is the block's members of the target
+        # the mask selected from the parent's is the block's members of the target
         assert compacted_member == columns.members(frozenset(inside))
         return columns, compacted_member
 
     monkeypatch.setattr(qfdef.splitting, "_single_target", spy_single_target)
     monkeypatch.setattr(qfdef.splitting, "_compact", spy_compact)
+    monkeypatch.setattr(TermColumns, "rows", spy_rows)
     monkeypatch.setattr(qfdef.splitting, "COMPACT_SHARE", 2)  # at every popped mixed block
     succ = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)])])
     for alg in (gen_abelian_group((n,)), succ):
@@ -347,7 +356,9 @@ def test_every_splitting_kernel_holds_only_the_repetition_free_rows(n, k, monkey
             for target in (rel, plant_negative(alg, rel, random.Random(seed))):
                 if target is None:
                     continue
+                deciding.append(True)
                 d = splitting_decide(alg, target)
+                deciding.pop()
                 check_decision(alg, target, d)
                 assert d.is_definable == merging_decide(alg, target).is_definable
     # decompose also yields targets of lower arity, from tuples with a repeated entry

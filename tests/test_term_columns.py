@@ -46,6 +46,11 @@ def values(kernel, t):
     return list(unpack(kernel.column(t), kernel.width, kernel.length))
 
 
+def mask_of(kernel, rows):
+    """The mask of the given rows: the top bit of each one's lane."""
+    return sum(1 << kernel.width * (r + 1) - 1 for r in set(rows))
+
+
 def with_constant(alg: Algebra, value: int) -> Algebra:
     """`alg` plus a constant `e`, declared with arity 0."""
     return Algebra(alg.size, [*((op.symbol, op.arity, op.table) for op in alg.ops), ("e", 0, [value])])
@@ -218,11 +223,11 @@ def test_product_space_rows_and_variable_columns(n, k):
     for t in (App("s", (Var(k - 1),)), App("h", (App("s", (Var(0),)),))):
         assert [values(kernel, t)[r] for r in sample] == [eval_term(alg, t, tuples[r]) for r in sample]
     assert kernel.rows(kernel.members({tuples[r] for r in sample})) == sorted(sample)
-    # restricting to rows gathers the variable columns and the seeded ones
-    sub = kernel.restrict(sample, [Var(k - 1)])
-    assert sub.tuples(range(len(sample))) == [tuples[r] for r in sample]
-    assert values(sub, Var(k - 1)) == [tuples[r][k - 1] for r in sample]
-    assert sub.rows(sub.members({tuples[r] for r in sample[::2]})) == list(range(0, len(sample), 2))
+    # restricting to a mask selects the variable columns and the seeded ones at its rows, ascending
+    sub, ascending = kernel.restrict(mask_of(kernel, sample), [Var(k - 1)]), sorted(sample)
+    assert sub.tuples(range(len(sample))) == [tuples[r] for r in ascending]
+    assert values(sub, Var(k - 1)) == [tuples[r][k - 1] for r in ascending]
+    assert sub.rows(sub.members({tuples[r] for r in ascending[::2]})) == list(range(0, len(sample), 2))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 257])
@@ -236,14 +241,18 @@ def test_permutation_columns_transpose_the_permutations(n):
 
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_kernels_from_columns_match_the_references(n, monkeypatch):
-    # a kernel over A**2, one over the repetition-free pairs, one restricted
-    # from each to a sample of its rows, and three of extension's chunks, at
-    # both lane widths: on byte lanes a term of at most one variable takes
-    # its table off the kernel's diagonal, at 16-bit lanes a gather
+    # a kernel over A**2, splitting's base kernel over the repetition-free
+    # pairs, kernels restricted from each to a sparse and to a dense set of
+    # rows, one over shuffled pairs, and three of extension's chunks, at both
+    # lane widths: on byte lanes a term of at most one variable takes its
+    # table off the kernel's diagonal, and a binary application with one
+    # argument constant on each run of x0 takes a translate per run where
+    # runs are long; at 16-bit lanes every application gathers
     alg = Algebra(
         n,
         [
             ("s", 1, [(x + 1) % n for x in range(n)]),
+            ("u", 1, [x // 2 for x in range(n)]),
             ("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)]),
             ("e", 0, [n - 2]),
         ],
@@ -258,14 +267,25 @@ def test_kernels_from_columns_match_the_references(n, monkeypatch):
         App("m", (e, App("s", (e,)))),
         App("e", (x1,)),
     ]
+    # two variables, with one argument of x0 alone or of no variable, and one with neither
+    by_runs = [
+        App("m", (App("s", (x0,)), App("u", (x1,)))),
+        App("m", (App("u", (x1,)), App("s", (x0,)))),
+        App("m", (e, x1)),
+        App("m", (App("m", (x1, x0)), e)),
+        App("m", (x1, App("m", (x0, x1)))),
+    ]
     rng = random.Random(n)
-    kernels = []
+    kernels = []  # (kernel, its tuples, whether its rows fall into long runs of x0)
     pairs, perms = list(itertools.product(range(n), repeat=2)), list(itertools.permutations(range(n), 2))
-    for tuples, variables in ((pairs, transposed(pairs, 2)), (perms, permutation_columns(n, 2))):
-        kernel = TermColumns(alg, variables)
-        kernels.append((kernel, tuples))
-        rows = sorted(rng.sample(range(len(tuples)), 500))
-        kernels.append((kernel.restrict(rows, terms[2:4] + lone[:1]), [tuples[r] for r in rows]))
+    for tuples, kernel in ((pairs, TermColumns(alg, transposed(pairs, 2))), (perms, TermColumns.repetition_free(alg, 2))):
+        assert kernel.tuples(range(kernel.length)) == tuples
+        kernels.append((kernel, tuples, True))
+        for rows, long_runs in ((sorted(rng.sample(range(len(tuples)), 500)), False), (range(0, len(tuples), 3), True)):
+            sub = kernel.restrict(mask_of(kernel, rows), terms[2:4] + lone[:1] + by_runs[:1])
+            kernels.append((sub, [tuples[r] for r in rows], long_runs))
+    shuffled = rng.sample(pairs, 3000)
+    kernels.append((TermColumns(alg, transposed(shuffled, 2)), shuffled, False))
     chunks = []
     holds = TermColumns.holds
 
@@ -279,8 +299,9 @@ def test_kernels_from_columns_match_the_references(n, monkeypatch):
     assert extension(alg, phi, 2).tuples == frozenset(a for a in pairs if eval_formula(alg, phi, a))
     monkeypatch.undo()
     assert len(chunks) == -(-n * n // EXTENSION_CHUNK)
-    kernels += [(c, c.tuples(range(c.length))) for c in (chunks[0], chunks[1], chunks[-1])]
-    for kernel, tuples in kernels:
+    # a chunk holds 256 pairs in one or two runs of x0, but the last one at n = 255 a single pair
+    kernels += [(c, c.tuples(range(c.length)), c.length > 1) for c in (chunks[0], chunks[1], chunks[-1])]
+    for kernel, tuples, long_runs in kernels:
         assert kernel.length == len(tuples)
         assert kernel.tuples(range(len(tuples))) == tuples
         sample = rng.sample(range(len(tuples)), min(200, len(tuples)))
@@ -288,10 +309,52 @@ def test_kernels_from_columns_match_the_references(n, monkeypatch):
         for t in terms:
             col = values(kernel, t)
             assert [col[r] for r in sample] == [eval_term(alg, t, tuples[r]) for r in sample], t
-        for t in lone:
+        for t in lone + by_runs:
             assert values(kernel, t) == [eval_term(alg, t, a) for a in tuples], t
+        # runs serve byte lanes only, and the shuffled and the sparse kernels gather
+        assert bool(kernel._runs) == (long_runs and n <= 256)
         for t, u in itertools.combinations(terms, 2):
             ct, cu = values(kernel, t), values(kernel, u)
             assert kernel.rows(kernel.agree(t, u)) == [r for r in range(len(tuples)) if ct[r] == cu[r]]
         target = frozenset(rng.sample(tuples, min(300, len(tuples) // 2))) | {(0, 1), (n - 1, n - 2)}
         assert kernel.rows(kernel.members(target)) == [r for r, a in enumerate(tuples) if a in target]
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_select_and_restrict_match_a_row_by_row_reference(n):
+    # below 255 elements the unselected lanes are set to 0xFF and deleted,
+    # at 256 the byte lanes are compressed, at 257 the 16-bit ones
+    alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)])])
+    rng = random.Random(n)
+    space = sorted(rng.sample(list(itertools.product(range(n), repeat=2)), 2000))
+    space += [(n - 1, n - 1), (n - 1, 0)]  # the largest value in both columns
+    kernel = TermColumns(alg, transposed(space, 2))
+    x0, x1 = Var(0), Var(1)
+    terms = [x0, x1, App("s", (x1,)), App("m", (x1, x0))]
+    target = frozenset(rng.sample(space, 700))
+    member = kernel.members(target)
+    for rows in ([], [0], sorted(rng.sample(range(len(space)), 900)), list(range(len(space) - 5, len(space))), range(len(space))):
+        mask = mask_of(kernel, rows)
+        for t in terms:
+            assert list(kernel.select(mask, kernel.column(t))) == [values(kernel, t)[r] for r in rows], t
+        flags = [0x80 << kernel.width - 8 if space[r] in target else 0 for r in rows]
+        assert list(kernel.select(mask, member)) == flags
+        sub = kernel.restrict(mask, terms[2:])
+        assert sub.length == len(rows) and sub.full.bit_count() == len(rows)
+        assert sub.tuples(range(sub.length)) == [space[r] for r in rows]
+        for t in terms:
+            assert values(sub, t) == [eval_term(alg, t, space[r]) for r in rows], t
+        assert pack(kernel.select(mask, member), kernel.width) == sub.members(target)
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_agree_matches_eval_term_on_both_sides_of_the_top_lane_bit(n):
+    # up to n = 128 no value sets a lane's top bit, and `agree` adds without masking
+    alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("r", 1, [n - 1 - x for x in range(n)])])
+    space = list(itertools.product(range(n), repeat=2))
+    kernel = TermColumns(alg, transposed(space, 2))
+    x0, x1 = Var(0), Var(1)
+    terms = [x0, x1, App("s", (x0,)), App("r", (x1,)), App("r", (App("s", (x0,)),))]
+    for t, u in itertools.combinations(terms, 2):
+        expected = [i for i, a in enumerate(space) if eval_term(alg, t, a) == eval_term(alg, u, a)]
+        assert kernel.rows(kernel.agree(t, u)) == expected, (t, u)
