@@ -491,10 +491,13 @@ def _wide_lanes(values: Iterable[int] | bytes, width: int):
 
 # a binary application with one argument constant on each run of rows that
 # share x0 takes one `translate` per run where the kernel's rows average at
-# least this many a run.  At n = 64 a run costs about 0.17 µs plus 6 ns a row,
-# and finding a kernel's runs, once, about 0.19 µs a run, where the row-by-row
-# gather costs about 32 ns a row (`timeit`): over 4,032 rows the runs take
-# about 110 µs at 8 rows a run and 35 µs at 63, the gather about 129 µs
+# least this many a run.  A run costs about 0.2 µs plus 3 ns a row, and the
+# row-by-row gather about 40 ns a row, at n = 16 as at n = 64 (`timeit`): at
+# n = 64 the runs took 14.7 µs over 512 rows at 8 rows a run, where the
+# gather took 20.5 µs, and 24.5 µs over 4,032 rows at 63 a run, where it took
+# 163 µs.  An operation's first application by runs also builds its 2n
+# translate tables, about a run's cost each (5.4 µs at n = 16, 23 µs at
+# n = 64), and finding a kernel's runs, once, costs about 0.5 µs a run
 RUN_ROWS = 8
 
 
@@ -528,9 +531,11 @@ class TermColumns:
     other argument's run through f's row c (or its column c, for a
     constant second argument), and the application needs no gather.  Runs
     are the maximal stretches of rows with one x0 (`_x0_runs`): rows sorted
-    by x0, as the base kernel's (`repetition_free`) and every kernel
-    `restrict` makes from one are, have few.  Where runs average fewer than
-    `RUN_ROWS` rows, as on shuffled rows, the application gathers.
+    by x0, as splitting's base kernel (`permutation_columns`) and every
+    kernel `restrict` makes from one are, have few.  Where runs average
+    fewer than `RUN_ROWS` rows, as on shuffled rows, the application
+    gathers, and so it does where the kernel has too few rows to pay for
+    building the operation's translate tables.
 
     A set of rows is a mask in the same lanes, the top bit of lane i set
     for row i.  `agree(t, s)`, the mask of rows where two terms agree, is
@@ -565,17 +570,6 @@ class TermColumns:
         if self.arity > 1 and w == 8:
             # built while this kernel has none, so the diagonal has none either
             self._diagonal = TermColumns(alg, [range(alg.size)] * self.arity, self)
-
-    @classmethod
-    def repetition_free(cls, alg: Algebra, k: int) -> TermColumns:
-        """The kernel over the repetition-free k-tuples in lexicographic
-        order (`permutation_columns`), splitting's base kernel.  Its x0 runs
-        are known: each value leads perm(n-1, k-1) rows."""
-        kernel = cls(alg, permutation_columns(alg.size, k))
-        n, r = alg.size, math.perm(alg.size - 1, k - 1)
-        if kernel.width == 8 and r >= RUN_ROWS:
-            kernel._runs = bytes(range(n)), list(map(slice, range(0, n * r, r), range(r, n * r + r, r)))
-        return kernel
 
     def column(self, t: Term) -> int:
         col = self._columns.get(t)
@@ -633,7 +627,7 @@ class TermColumns:
         return self._selector(mask)(packed)
 
     def _selector(self, mask: int) -> Callable[[int], Sequence[int]]:
-        if self.alg.size < 0xFF:
+        if self.alg.size <= 0xFF:
             # no value or mask lane is 0xFF: set every other lane to it, then
             # delete the 0xFF bytes in one C-level pass
             drop, length = (self.full | self._low) ^ (mask >> 7) * 0xFF, self.length
@@ -708,14 +702,18 @@ class TermColumns:
             side, const, other = 1, u, s
         else:
             return None
+        n = self.alg.size
+        tables = self._table_rows.get((op.symbol, "runs"))
+        if tables is None and self.length < 3 * n * RUN_ROWS:
+            # building f's 2n tables costs about 2n runs, and rows sorted by x0 have at most n runs
+            return None
         runs = self._x0_runs()
         if not runs:
             return None
         values, slices = runs
-        tables = self._table_rows.get((op.symbol, "runs"))
         if tables is None:
             # f's rows f(c, -) and columns f(-, c) as `translate` tables, from one bytes(tab)
-            n, tb = self.alg.size, bytes(op.table)
+            tb = bytes(op.table)
             tables = self._table_rows[op.symbol, "runs"] = (
                 [tb[c * n : c * n + n].ljust(256, b"\0") for c in range(n)],
                 [tb[c::n].ljust(256, b"\0") for c in range(n)],

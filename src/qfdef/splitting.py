@@ -18,9 +18,9 @@ a column over all its rows: one int holding the term's value at row i in
 lane i, a byte per row up to n = 256, where a term of at most one
 variable is one `translate` of that variable's column, and a binary
 application with one argument of x0 alone is one `translate` per run of
-rows that share x0.  All targets of arity k in a decision start on one
-kernel over the repetition-free k-tuples in lexicographic order
-(`TermColumns.repetition_free`), at every arity.
+rows that share x0 where runs are long.  All targets of arity k in a
+decision start on one kernel over the repetition-free k-tuples in
+lexicographic order (`permutation_columns`), at every arity.
 A block is a row mask, an int with one flag per row in the kernel's
 lanes; the initial block is every row, and target membership is one such
 mask: scattered from the target's tuple codes for a target under
@@ -64,6 +64,7 @@ from .algebra import (
     extension,
     generate_terms,
     pack,
+    permutation_columns,
     tuple_codes,
     unpack,
 )
@@ -429,7 +430,7 @@ def splitting_decide(
         if trace:
             trace(f"target of arity {target.arity} with {len(target.tuples)} tuples")
         if target.arity not in kernels:
-            kernels[target.arity] = TermColumns.repetition_free(alg, target.arity)
+            kernels[target.arity] = TermColumns(alg, permutation_columns(alg.size, target.arity))
         ok, payload = _single_target(
             kernels[target.arity],
             target.tuples,

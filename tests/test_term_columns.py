@@ -278,7 +278,8 @@ def test_kernels_from_columns_match_the_references(n, monkeypatch):
     rng = random.Random(n)
     kernels = []  # (kernel, its tuples, whether its rows fall into long runs of x0)
     pairs, perms = list(itertools.product(range(n), repeat=2)), list(itertools.permutations(range(n), 2))
-    for tuples, kernel in ((pairs, TermColumns(alg, transposed(pairs, 2))), (perms, TermColumns.repetition_free(alg, 2))):
+    bases = [TermColumns(alg, transposed(pairs, 2)), TermColumns(alg, permutation_columns(n, 2))]
+    for tuples, kernel in zip((pairs, perms), bases):
         assert kernel.tuples(range(kernel.length)) == tuples
         kernels.append((kernel, tuples, True))
         for rows, long_runs in ((sorted(rng.sample(range(len(tuples)), 500)), False), (range(0, len(tuples), 3), True)):
@@ -299,8 +300,8 @@ def test_kernels_from_columns_match_the_references(n, monkeypatch):
     assert extension(alg, phi, 2).tuples == frozenset(a for a in pairs if eval_formula(alg, phi, a))
     monkeypatch.undo()
     assert len(chunks) == -(-n * n // EXTENSION_CHUNK)
-    # a chunk holds 256 pairs in one or two runs of x0, but the last one at n = 255 a single pair
-    kernels += [(c, c.tuples(range(c.length)), c.length > 1) for c in (chunks[0], chunks[1], chunks[-1])]
+    # a chunk's 256 rows are too few to pay for m's translate tables, so chunks gather and never look for runs
+    kernels += [(c, c.tuples(range(c.length)), False) for c in (chunks[0], chunks[1], chunks[-1])]
     for kernel, tuples, long_runs in kernels:
         assert kernel.length == len(tuples)
         assert kernel.tuples(range(len(tuples))) == tuples
@@ -318,11 +319,13 @@ def test_kernels_from_columns_match_the_references(n, monkeypatch):
             assert kernel.rows(kernel.agree(t, u)) == [r for r in range(len(tuples)) if ct[r] == cu[r]]
         target = frozenset(rng.sample(tuples, min(300, len(tuples) // 2))) | {(0, 1), (n - 1, n - 2)}
         assert kernel.rows(kernel.members(target)) == [r for r, a in enumerate(tuples) if a in target]
+    # the base kernels built m's translate tables; the chunks, which share no tables with them, did not
+    assert [("m", "runs") in k._table_rows for k in bases + chunks] == [n <= 256] * 2 + [False] * len(chunks)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_select_and_restrict_match_a_row_by_row_reference(n):
-    # below 255 elements the unselected lanes are set to 0xFF and deleted,
+    # up to 255 elements, values up to 0xFE, the unselected lanes are set to 0xFF and deleted,
     # at 256 the byte lanes are compressed, at 257 the 16-bit ones
     alg = Algebra(n, [("s", 1, [(x + 1) % n for x in range(n)]), ("m", 2, [(x * y + x) % n for x in range(n) for y in range(n)])])
     rng = random.Random(n)
