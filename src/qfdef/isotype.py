@@ -12,10 +12,10 @@ they are connected by an isomorphism between the substructures they
 generate, and in that case the ordered universes line up pointwise.
 
 Up to 256 elements the closure runs on bytes, over table rows that it
-slices once per algebra and keeps.  `iso_type` holds the last algebra it
-was called on, with those rows, in a one-entry memo.  A byte holds no
-element above 255, so larger algebras go through a list closure that
-slices the rows it reads every round.
+slices once per algebra and keeps, and the key stays bytes.  `iso_type`
+holds the last algebra it was called on, with those rows, in a one-entry
+memo.  A byte holds no element above 255, so larger algebras go through
+a list closure that slices the rows it reads every round.
 """
 
 from __future__ import annotations
@@ -23,26 +23,31 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import Algebra, Term, Var, generate_terms
 
 
-@dataclass(frozen=True)
 class IsoSignature:
     """Canonical type of a tuple.
 
-    key: the rank of the value at each closure position, ranks numbering
-        the values by first appearance.
+    compact: the key, ranks numbering the values by first appearance, as
+        the `bytes` the byte closure builds (at most 256 elements) or else
+        the tuple itself; merging tags and looks up orbits by it.
     universe: the generated subuniverse in first-appearance order, so
         `universe[r]` is the value of rank r.
     depth: number of closure passes executed before no new element appeared.
     """
 
-    key: tuple[int, ...]
-    universe: tuple[int, ...]
-    depth: int
+    __slots__ = ("compact", "universe", "depth")
+
+    def __init__(self, compact: bytes | tuple[int, ...], universe: tuple[int, ...], depth: int):
+        self.compact, self.universe, self.depth = compact, universe, depth
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The rank of the value at each closure position, as ints."""
+        return tuple(self.compact)
 
     @property
     def partition(self) -> tuple[tuple[int, ...], ...]:
@@ -50,9 +55,15 @@ class IsoSignature:
         with indices ascending inside each block: block r holds the
         positions of rank r, so it carries the same information as `key`."""
         blocks: list[list[int]] = [[] for _ in self.universe]
-        for i, r in enumerate(self.key):
+        for i, r in enumerate(self.compact):
             blocks[r].append(i)
         return tuple(map(tuple, blocks))
+
+    def __eq__(self, other):
+        return isinstance(other, IsoSignature) and (self.key, self.universe, self.depth) == (other.key, other.universe, other.depth)
+
+    def __hash__(self):
+        return hash((self.key, self.universe, self.depth))
 
 
 class _Closure:
@@ -66,7 +77,8 @@ class _Closure:
     round and call: a binary table has a row per first argument, and an
     r-ary one a row per (r-1)-prefix, read in the order `_prefixes` lists.
     A round's new values are what is left of it once `translate` deletes
-    the known ones, and the key is the values translated by their ranks.
+    the known ones, and the key is the values translated by their ranks,
+    left as `bytes`.
 
     The rows of an r-ary table take n^(r-1) * 256 bytes, at most 32/n
     times the memory of the table tuple itself (8 bytes an entry).
@@ -80,8 +92,8 @@ class _Closure:
         self.binary = [_byte_rows(op.table, n).__getitem__ for op in alg.ops_of_arity(2)]
         self.higher = [(r, [_byte_rows(op.table, n) for op in alg.ops_of_arity(r)]) for r in alg.arities if r >= 3]
 
-    def close(self, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(key, universe, depth) of `a`, as `iso_type` defines them."""
+    def close(self, a: tuple[int, ...]) -> tuple[bytes, tuple[int, ...], int]:
+        """(key as bytes, universe, depth) of `a`, as `iso_type` defines them."""
         unary, binary, higher = self.unary, self.binary, self.higher
         universe = b""
         values = bytearray(a)  # the value at every closure position
@@ -111,7 +123,7 @@ class _Closure:
                     for row, read in prefixes:
                         values += read(rows[row])
         rank = bytes.maketrans(universe, _RANKS[: len(universe)])
-        return tuple(values.translate(rank)), tuple(universe), depth
+        return bytes(values.translate(rank)), tuple(universe), depth
 
 
 # byte r is r: `maketrans` maps the universe's r-th value to its rank r
@@ -198,8 +210,9 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
     if not a:
         raise ValueError("cannot compute the type of an empty tuple")
     n = alg.size
-    if min(a) < 0 or max(a) >= n:
-        raise ValueError(f"tuple {a} has an entry outside 0..{n - 1}")
+    for x in a:  # one pass; a bool or a float is no element either
+        if type(x) is not int or not 0 <= x < n:
+            raise ValueError(f"tuple {a} has an entry outside 0..{n - 1}")
     if n > 256:
         key, universe, depth = _close_wide(alg, a)
     else:
@@ -207,7 +220,7 @@ def iso_type(alg: Algebra, a: Sequence[int]) -> IsoSignature:
         if last is None or last[0] is not alg:
             last = _last = (alg, _Closure(alg))
         key, universe, depth = last[1].close(a)
-    return IsoSignature(key=key, universe=universe, depth=depth)
+    return IsoSignature(key, universe, depth)
 
 
 def iso_type_terms(alg: Algebra, a: Sequence[int]) -> tuple[IsoSignature, tuple[Term, ...]]:

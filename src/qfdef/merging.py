@@ -2,16 +2,18 @@
 
 Every repetition-free tuple of a relevant arity starts in its own orbit,
 annotated with its membership vector against the decomposed targets.
-Tuples are processed depth-first along the tree of subuniverses.  When an
-untyped tuple turns out to share its isomorphism type with a tagged orbit,
-the subisomorphism between their generated subuniverses is a hit of one
-of two kinds.  An automorphism hit maps the current node onto itself, and
-every pair of orbits it links is merged.  A cross hit maps a smaller
-subuniverse into a finished one, whose tuples are all typed; its map is
-only checked, and its domain is recorded as covered, which types every
-tuple over it.  The target is definable exactly when no map links two
-tuples with different membership vectors; the first offending pair,
-together with the map connecting it, is the counterexample.
+Tuples are processed depth-first along the tree of subuniverses, and the
+walk over a node yields only the tuples still untyped.  When such a
+tuple turns out to share its isomorphism type (its compact key) with a
+tagged orbit, the subisomorphism between their generated subuniverses is
+a hit of one of two kinds.  An automorphism hit maps the current node
+onto itself, and every pair of orbits it links is merged.  A cross hit
+maps a smaller subuniverse into a finished one, whose tuples are all
+typed; its map is only checked, one comparison per arity, and its domain
+is recorded as covered, which types every tuple over it.  The target is
+definable exactly when no map links two tuples with different membership
+vectors; the first offending pair, together with the map connecting it,
+is the counterexample.
 
 This strategy never produces a defining formula.
 """
@@ -31,6 +33,19 @@ from .preprocess import TargetBundle, decompose, expand
 Trace = Callable[[str], None]
 
 
+class _Rows(dict):
+    """The rows of one arity's codes in the membership list, keyed by the
+    value of their (k-1)-prefix and sliced on first read."""
+
+    def __init__(self, membership: list[int], off: int, n: int):
+        self.membership, self.off, self.n = membership, off, n
+
+    def __missing__(self, prefix: int) -> list[int]:
+        base = self.off + prefix * self.n
+        row = self[prefix] = self.membership[base : base + self.n]
+        return row
+
+
 class OrbitStore:
     """Orbit partitions of the repetition-free tuples, as a union-find over tuple codes.
 
@@ -43,15 +58,17 @@ class OrbitStore:
     tuple's membership vector is an int whose bit j says it lies in
     target j, in a list beside `parent`; an orbit's membership is that of
     any of its members, since orbits of unequal membership never merge.
-    Type, universe and the per-arity type -> root index live on roots
-    only, written once when the orbit is tagged; the index also enforces
-    that a type is never carried by two distinct orbits.
+    Type (the compact key, `IsoSignature.compact`), universe and the
+    per-arity type -> root index live on roots only, written once when
+    the orbit is tagged; the index also enforces that a type is never
+    carried by two distinct orbits.
 
     A covered subuniverse (`cover`) has its tuples typed through a checked
     map into a finished subuniverse, with no orbit joined.  Bit i of the
     int `holders[x]` says that x lies in the i-th of the `covers` covered
     subuniverses, so a tuple is typed when its root is tagged or the AND
-    of `holders` over its entries is not 0.
+    of `holders` over its entries is not 0.  `cover` keeps the rows it
+    reads (`_rows`) and each image's side (`_images`) for the decision.
     """
 
     def __init__(self, alg: Algebra, bundle: TargetBundle, *, debug: bool = False):
@@ -70,15 +87,15 @@ class OrbitStore:
             bit, off = 1 << j, self.offset[target.arity]
             for c in tuple_codes(target.tuples, alg.size):
                 self.membership[c + off] |= bit
-        self.type: dict[int, tuple] = {}
+        self.type: dict[int, bytes | tuple] = {}
         self.universe: dict[int, tuple[int, ...]] = {}
         self.universe_donor: dict[int, tuple[int, ...]] = {}  # debug bookkeeping
-        self.tagged_index: dict[int, dict[tuple, int]] = {k: {} for k in self.spec}
+        self.tagged_index: dict[int, dict[bytes | tuple, int]] = {k: {} for k in self.spec}
         self.conflict: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self.covers = 0
         self.holders = [0] * alg.size
-        # membership rows that `cover` has read, keyed by the code of their x = 0 entry
-        self._rows: dict[int, list[int]] = {}
+        self._rows = {k: _Rows(self.membership, off, alg.size) for k, off in self.offset.items()}
+        self._images: dict[tuple[int, ...], list[list]] = {}
 
     def code(self, a: Sequence[int]) -> int:
         n, c = self.alg.size, 0
@@ -97,11 +114,11 @@ class OrbitStore:
         """The tuples of an orbit, in lexicographic order (a full scan)."""
         return [a for a in itertools.permutations(range(self.alg.size), arity) if self.orbit(a) == root]
 
-    def find_tagged(self, arity: int, type_: tuple) -> int | None:
+    def find_tagged(self, arity: int, type_: bytes | tuple) -> int | None:
         return self.tagged_index[arity].get(type_)
 
     def tag_orbit(
-        self, a: tuple[int, ...], type_: tuple, universe: tuple[int, ...]
+        self, a: tuple[int, ...], type_: bytes | tuple, universe: tuple[int, ...]
     ) -> None:
         r = self.orbit(a)
         if r in self.type:
@@ -136,51 +153,53 @@ class OrbitStore:
             self._check_orbit(first, arity)
         return first
 
-    def cover(self, domain: Sequence[int], image: Sequence[int]) -> bool:
+    def cover(self, domain: Sequence[int], image: tuple[int, ...]) -> bool:
         """Check the map domain[j] -> image[j] into a finished subuniverse,
         then record `domain` as covered.
 
-        Every tuple over `domain` must have the membership of its image.
-        Tuples are compared in `try_merge_orbits`' order, a (k-1)-prefix's
-        row of the membership list at a time, and a row that differs is
-        walked entry by entry.  Orbits never join unequal memberships, so
-        the first unequal pair, whatever the union state, is the one
-        `try_merge_orbits` meets along the same map: it is left in
-        `conflict`, and False is returned with nothing covered.
+        Every tuple over `domain` must have the membership of its image,
+        which one comparison per arity of their `_picks` checks, the
+        image's built once and kept.  Only a mismatch walks the rows in
+        `try_merge_orbits`' order, entry by entry.  Orbits never join
+        unequal memberships, so the first unequal pair, whatever the union
+        state, is the one `try_merge_orbits` meets along the same map: it
+        is left in `conflict`, and False is returned with nothing covered.
         """
         if self.debug:
             if not Subisomorphism(domain, image).is_valid(self.alg):
                 raise AssertionError("a cover's map is not a subisomorphism")
             self.check_all_known(frozenset(image))
-        pairs = sorted(zip(domain, image))
-        n, rows, membership = self.alg.size, self._rows, self.membership
-        # lists, not generators: a tuple built from a generator is allocated at
-        # length 10 and shrunk, which moves memory between the interpreter's
-        # per-length tuple free lists and, over many decisions, raises peak RSS
-        dom, img = [x for x, _ in pairs], [gx for _, gx in pairs]
-        pick_a, pick_g = itemgetter(*dom), itemgetter(*img)
-        for k in self.spec:
-            off = self.offset[k]
-            for pa, pg, p in _prefixes(pairs, k, n):
-                base_a, base_g = pa * n + off, pg * n + off
-                row_a = rows.get(base_a)
-                if row_a is None:
-                    row_a = rows[base_a] = membership[base_a : base_a + n]
-                row_g = rows.get(base_g)
-                if row_g is None:
-                    row_g = rows[base_g] = membership[base_g : base_g + n]
-                if pick_a(row_a) == pick_g(row_g):
-                    continue
-                for x, gx in pairs:
-                    if x not in p and row_a[x] != row_g[gx]:
-                        a = p + (x,)
-                        self.conflict = (a, tuple(map(dict(pairs).__getitem__, a)))
-                        return False
+        expected = self._images.get(image)
+        if expected is None:
+            expected = self._images[image] = self._picks(image)
+        if self._picks(domain) != expected:
+            n, pairs = self.alg.size, sorted(zip(domain, image))
+            for k, rows in self._rows.items():
+                for pa, pg, p in _prefixes(pairs, k, n):
+                    row_a, row_g = rows[pa], rows[pg]
+                    for x, gx in pairs:
+                        if x not in p and row_a[x] != row_g[gx]:
+                            a = p + (x,)
+                            self.conflict = (a, tuple(map(dict(pairs).__getitem__, a)))
+                            return False
         bit, holders = 1 << self.covers, self.holders
         self.covers += 1
-        for x in dom:
+        for x in domain:
             holders[x] |= bit
         return True
+
+    def _picks(self, values: Sequence[int]) -> list[list]:
+        """Per arity k, the row of each (k-1)-tuple over `values` (by their
+        positions, lexicographically) picked at `values`.  A tuple with a
+        repeated entry is in no target: both sides of a map read 0 there."""
+        n, pick = self.alg.size, itemgetter(*values)
+        picks = []
+        for k, rows in self._rows.items():
+            prefixes = values if k > 1 else (0,)
+            for _ in range(k - 2):
+                prefixes = [p * n + v for p in prefixes for v in values]
+            picks.append(list(map(pick, map(rows.__getitem__, prefixes))))
+        return picks
 
     # -- debug invariant suite ------------------------------------------------
 
@@ -196,7 +215,7 @@ class OrbitStore:
             if donor_sig.universe != self.universe[root]:
                 raise AssertionError("stored universe does not match its donor")
             for t in members[:2]:
-                if iso_type(self.alg, t).key != self.type[root]:
+                if iso_type(self.alg, t).compact != self.type[root]:
                     raise AssertionError("tag differs from a member's type")
 
     def check_all_known(self, sub: frozenset[int]) -> None:
@@ -254,16 +273,31 @@ def try_merge_orbits(gamma: Subisomorphism, store: OrbitStore) -> bool:
     return True
 
 
-def _coded_tuples(elements: frozenset[int], store: OrbitStore) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The repetition-free tuples over `elements`, by arity in the spec,
-    then lexicographically, each with its code in `store`."""
+def _untyped_tuples(elements: frozenset[int], store: OrbitStore) -> Iterator[tuple[int, ...]]:
+    """The repetition-free tuples over `elements` still untyped in `store`,
+    by arity in the spec, then lexicographically.
+
+    A tuple is skipped when one covered subuniverse holds all its entries
+    (its prefix's AND of `holders`, and its last entry's) or its root is
+    tagged.  The caller covers, merges and tags between two yields, so the
+    prefix's AND is taken again after each, and roots and tags are live.
+    """
     ordered = sorted(elements)
+    parent, tagged, holders = store.parent, store.type, store.holders
     for k in store.spec:
         for p in itertools.permutations(ordered, k - 1):
             base = store.code(p + (0,))  # the code of p + (x,) is base + x
+            covered = reduce(and_, map(holders.__getitem__, p), -1)
             for x in ordered:
-                if x not in p:
-                    yield p + (x,), base + x
+                if x in p or covered & holders[x]:
+                    continue
+                c = base + x
+                while parent[c] != c:  # the root, as in OrbitStore.orbit
+                    parent[c] = c = parent[parent[c]]
+                if c in tagged:
+                    continue
+                yield p + (x,)
+                covered = reduce(and_, map(holders.__getitem__, p), -1)
 
 
 def _conflict_decision(
@@ -293,20 +327,13 @@ def merging_decide(
         return Definable(FALSE)
     store = OrbitStore(alg, bundle, debug=debug)
     universe = frozenset(range(alg.size))
-    parent, tagged, holders = store.parent, store.type, store.holders
-    # (node, its pending tuples); a node is a subuniverse, entered at most once
-    stack = [(universe, _coded_tuples(universe, store))]
+    # (node, its untyped tuples); a node is a subuniverse, entered at most once
+    stack = [(universe, _untyped_tuples(universe, store))]
     while stack:
         node, pending = stack[-1]
-        for a, c in pending:  # resumes after the tuple that last descended
-            while parent[c] != c:  # the root, as in OrbitStore.orbit
-                parent[c] = c = parent[parent[c]]
-            if c in tagged:
-                continue
-            if reduce(and_, map(holders.__getitem__, a)):  # one covered subuniverse holds every entry
-                continue
+        for a in pending:  # resumes after the tuple that last descended
             sig = iso_type(alg, a)
-            type_a, universe_a = sig.key, sig.universe
+            type_a, universe_a = sig.compact, sig.universe
             if trace:
                 trace(f"pop {a}: new type, |sg|={len(universe_a)}, |node|={len(node)}")
             # a tagged orbit's donor generates a node, so a hit for a tuple
@@ -339,7 +366,7 @@ def merging_decide(
             sub = frozenset(universe_a)
             if debug and len(sub) >= len(node):
                 raise AssertionError("pushed node must be strictly smaller")
-            stack.append((sub, _coded_tuples(sub, store)))
+            stack.append((sub, _untyped_tuples(sub, store)))
             if trace:
                 trace(f"  descend into subuniverse {sorted(sub)}")
             break

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import random
 
+import qfdef.merging
 from qfdef import (
     Relation,
     SplitStats,
@@ -182,3 +183,43 @@ def test_merging_output_matches_golden_digest():
     assert 3 * sum(" not " in line for line in lines) >= len(lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == MERGING_GOLDEN_SHA256
+
+
+# Recorded from the walk that typed every tuple it visited, before it skipped
+# tagged and covered tuples itself and covers compared whole rows at once.
+WORK_GOLDEN_SHA256 = "9708b09c7db57c32a20aa18111f7ae45bb39fed46a9adcbe2b77a541cb51b9fa"
+
+
+def merging_work_lines(monkeypatch):
+    """Per instance: its name, then merging's work in order: each tuple sent
+    to `iso_type` and the domain of each `cover` and `try_merge_orbits` call."""
+    lines: list[str] = []
+
+    def typed(alg, a):
+        lines.append(f"type {tuple(a)}")
+        return iso_type(alg, a)
+
+    def cover(store, domain, image):
+        lines.append(f"cover {tuple(domain)}")
+        return real_cover(store, domain, image)
+
+    def merge(gamma, store):
+        lines.append(f"merge {gamma.domain}")
+        return real_merge(gamma, store)
+
+    real_cover, real_merge = qfdef.merging.OrbitStore.cover, qfdef.merging.try_merge_orbits
+    monkeypatch.setattr(qfdef.merging, "iso_type", typed)
+    monkeypatch.setattr(qfdef.merging.OrbitStore, "cover", cover)
+    monkeypatch.setattr(qfdef.merging, "try_merge_orbits", merge)
+    for name, alg, rel in merging_golden_instances():
+        lines.append(name)
+        merging_decide(alg, rel)
+    return lines
+
+
+def test_merging_work_sequence_matches_golden_digest(monkeypatch):
+    lines = merging_work_lines(monkeypatch)
+    # every kind of work is reached, so the digest guards each
+    assert all(any(line.startswith(kind) for line in lines) for kind in ("type ", "cover ", "merge "))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WORK_GOLDEN_SHA256

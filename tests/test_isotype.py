@@ -4,6 +4,7 @@ import pytest
 
 from qfdef import (
     Algebra,
+    IsoSignature,
     IsoTypeCache,
     Subisomorphism,
     Var,
@@ -65,6 +66,46 @@ def test_determinism(diamond):
 def test_empty_tuple_rejected(diamond):
     with pytest.raises(ValueError):
         iso_type(diamond, ())
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, -1, 4])
+def test_entry_that_is_no_element_rejected(diamond, bad):
+    # a bool is an int that equals 0 or 1, and a float lies between min and
+    # max, so every entry's type is checked, as `Relation.check_over` does
+    a = (0, bad)
+    with pytest.raises(ValueError, match=r"has an entry outside 0\.\.3"):
+        iso_type(diamond, a)
+
+
+def test_signature_keeps_its_key_compact(diamond):
+    a, b = (1, 2, 0), (2, 1, 0)
+    sig, other = iso_type(diamond, a), iso_type(diamond, b)
+    assert isinstance(sig.compact, bytes)
+    assert type(sig.key) is tuple and all(type(r) is int for r in sig.key)
+    assert sig.key == tuple(sig.compact)
+    assert sig.partition == WORKED_PARTITION
+    assert [sig.key[i] for block in sig.partition for i in block] == sorted(sig.key)
+    # equal types with other universes: equal keys, unequal signatures
+    assert sig.compact == other.compact and sig != other
+    # equal signatures hash equal, whichever form holds the key
+    again = iso_type(diamond, a)
+    assert again is not sig and again == sig and hash(again) == hash(sig)
+    as_tuple = IsoSignature(sig.key, sig.universe, sig.depth)
+    assert as_tuple == sig and hash(as_tuple) == hash(sig)
+    assert len({sig, again, as_tuple, other}) == 2
+
+
+def test_signature_above_the_byte_range():
+    # 257 elements go through the list closure, whose compact key is the tuple itself
+    n = 257
+    alg = Algebra(n, [("u", 1, [x // 2 for x in range(n)])])
+    sig = iso_type(alg, (256, 3))
+    assert isinstance(sig.compact, tuple) and sig.key == sig.compact
+    assert sig.universe == (256, 3, 128, 1, 64, 0, 32, 16, 8, 4, 2)
+    # u(0) = 0 repeats at position 7 and u(2) = 1 at position 12
+    assert sig.key == (0, 1, 2, 3, 4, 5, 6, 5, 7, 8, 9, 10, 3)
+    assert sig.partition[3] == (3, 12) and sig.partition[5] == (5, 7)
+    assert hash(sig) == hash(iso_type(alg, (256, 3)))
 
 
 def _assert_terms_coordinate(alg, a):

@@ -5,6 +5,7 @@ import pytest
 
 from qfdef import (
     FALSE,
+    Algebra,
     Relation,
     Subisomorphism,
     check_decision,
@@ -176,6 +177,71 @@ def test_try_merge_matches_naive_merge(spec, arity):
     assert merged and conflicts
 
 
+def _first_conflict(store, domain, image):
+    """Brute-force reference for `cover`: the first tuple over the domain,
+    by arity in the spec, then lexicographically, whose membership differs
+    from its image's, with that image; None if there is none."""
+    gamma = dict(zip(domain, image))
+    for k in store.spec:
+        for a in itertools.permutations(sorted(domain), k):
+            ga = tuple(map(gamma.__getitem__, a))
+            if store.membership[store.code(a)] != store.membership[store.code(ga)]:
+                return a, ga
+    return None
+
+
+def _cover_as_reference(store, domain, image):
+    """`store.cover` against `_first_conflict`; a cover that fails covers nothing."""
+    expected = _first_conflict(store, domain, image)
+    holders, covers = list(store.holders), store.covers
+    store.conflict = None
+    assert store.cover(domain, image) == (expected is None)
+    assert store.conflict == expected
+    if expected is None:
+        assert store.covers == covers + 1
+        assert all(store.holders[x] >> covers & 1 for x in domain)
+    else:
+        assert (store.holders, store.covers) == (holders, covers)
+    return expected
+
+
+def test_cover_matches_brute_force_at_arity_3():
+    # formula extensions whose tuples of patterns (x, y, z), (x, x, y) and
+    # (x, x, x) bring in widths 3, 2 and 1, so the rows of every arity are
+    # compared at once; all 3 * 13 maps agree on the extensions, and some
+    # of them also on the planted twins
+    alg = gen_abelian_group((2, 4))
+    outcomes = []
+    for seed in (1, 3, 4):
+        rel = extension(alg, gen_random_formula(alg, 3, seed=seed), 3)
+        for r in (rel, plant_negative(alg, rel, random.Random(seed))):
+            store = OrbitStore(alg, decompose(r, 8))
+            assert store.spec == (1, 2, 3)
+            for gamma in _random_subisos(alg, random.Random(seed), 12):
+                outcomes.append(_cover_as_reference(store, gamma.domain, gamma.image) is None)
+    assert outcomes.count(True) > 3 * 13 and outcomes.count(False)
+
+
+def test_cover_reuses_an_image_and_finds_arity_1_conflicts():
+    # with the identity as the only operation every set is a subuniverse
+    # and every injection a subisomorphism
+    alg = Algebra(6, [("u", 1, list(range(6)))])
+    # (0, 1) and (2, 3) lie in the target, (4, 5) does not
+    store = OrbitStore(alg, decompose(Relation.of(2, [(0, 1), (2, 3)]), 6))
+    assert _cover_as_reference(store, (2, 3), (0, 1)) is None
+    # the second cover into (0, 1) reads the image's side kept by the first
+    assert _cover_as_reference(store, (4, 5), (0, 1)) == ((4, 5), (0, 1))
+    assert list(store._images) == [(0, 1)]
+    # an image of the same size keeps a side of its own
+    assert _cover_as_reference(store, (0, 1), (3, 2)) == ((0, 1), (3, 2))
+    assert list(store._images) == [(0, 1), (3, 2)]
+    # the pairs agree and only the arity-1 target, the diagonal at 0, tells 2 from 0
+    store = OrbitStore(alg, decompose(Relation.of(2, [(0, 0), (0, 1), (2, 3)]), 6))
+    assert store.spec == (1, 2)
+    assert _cover_as_reference(store, (2, 3), (0, 1)) == ((2,), (0,))
+    assert _cover_as_reference(store, (0, 1), (0, 1)) is None
+
+
 def test_merge_refuses_two_tagged_orbits(diamond, diamond_order):
     # an explicit raise, so it holds under python -O too
     store = _store(diamond, diamond_order)
@@ -205,14 +271,14 @@ def test_tag_then_merge_keeps_annotation(diamond, diamond_order):
     for tagged_first in (True, False):
         store = OrbitStore(diamond, decompose(diamond_order), debug=True)
         store.merge(store.orbit((1, 0)), store.orbit((2, 0)), 2)
-        store.tag_orbit((3, 0), sig.key, sig.universe)
+        store.tag_orbit((3, 0), sig.compact, sig.universe)
         root, untagged = store.orbit((3, 0)), store.orbit((1, 0))
         pair = (root, untagged) if tagged_first else (untagged, root)
         assert store.merge(*pair, 2) == root
         assert store.orbit((3, 0)) == store.orbit((2, 0)) == store.orbit((1, 0)) == root
         for annotation in (store.type, store.universe, store.universe_donor):
             assert list(annotation) == [root]
-        assert store.tagged_index == {1: {}, 2: {sig.key: root}}
+        assert store.tagged_index == {1: {}, 2: {sig.compact: root}}
 
 
 def test_double_tag_same_values_is_noop(diamond, diamond_order):
