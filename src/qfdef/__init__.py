@@ -6,35 +6,8 @@ strategy, a block-splitting strategy (which also produces a defining
 formula), or an exhaustive oracle.
 """
 
-from .algebra import (
-    FALSE,
-    TRUE,
-    Algebra,
-    And,
-    App,
-    Eq,
-    Not,
-    Operation,
-    Or,
-    ParseError,
-    QfFormula,
-    Relation,
-    Term,
-    Var,
-    eval_formula,
-    eval_term,
-    extension,
-    format_formula,
-    format_term,
-    generate_terms,
-    load_algebra,
-    load_relation,
-    parse_formula,
-    parse_term,
-    save_algebra,
-    save_relation,
-    sg,
-)
+from .algebra import Algebra, Operation, Relation, Subisomorphism, sg
+from .columns import extension, generate_terms
 from .decision import Decision, Definable, NotDefinable, check_decision
 from .generators import (
     diamond_lattice,
@@ -44,17 +17,11 @@ from .generators import (
     gen_random_formula,
     gen_random_graph,
 )
-from .isotype import IsoSignature, IsoTypeCache, Subisomorphism, iso_type
+from .graph import Graph, graph_oracle_definable, graph_star
+from .io import load_algebra, load_relation, save_algebra, save_relation
+from .isotype import IsoSignature, IsoTypeCache, iso_type
 from .merging import merging_decide, try_merge_orbits
-from .oracle import (
-    BudgetExceededError,
-    Graph,
-    enumerate_subisomorphisms,
-    enumerate_subuniverses,
-    graph_oracle_definable,
-    graph_star,
-    oracle_definable,
-)
+from .oracle import BudgetExceededError, enumerate_subisomorphisms, enumerate_subuniverses, oracle_definable
 from .preprocess import (
     TargetBundle,
     assemble,
@@ -65,5 +32,22 @@ from .preprocess import (
     squash,
 )
 from .splitting import SplitStats, process_mixed_block, splitting_decide
+from .syntax import ParseError, parse_formula, parse_term
+from .terms import (
+    FALSE,
+    TRUE,
+    And,
+    App,
+    Eq,
+    Not,
+    Or,
+    QfFormula,
+    Term,
+    Var,
+    eval_formula,
+    eval_term,
+    format_formula,
+    format_term,
+)
 
 __version__ = "0.1.0"

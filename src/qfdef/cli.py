@@ -11,15 +11,8 @@ import dataclasses
 import json
 import sys
 
-from .algebra import (
-    Algebra,
-    extension,
-    format_formula,
-    load_algebra,
-    load_relation,
-    save_algebra,
-    save_relation,
-)
+from .algebra import Algebra
+from .columns import extension
 from .decision import Decision
 from .generators import (
     gen_abelian_group,
@@ -27,17 +20,14 @@ from .generators import (
     gen_random_algebra,
     gen_random_formula,
 )
+from .graph import graph_star
+from .io import load_algebra, load_graph, load_relation, save_algebra, save_relation
 from .isotype import iso_type, iso_type_terms
 from .merging import merging_decide
-from .oracle import (
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    graph_star,
-    load_graph,
-    oracle_definable,
-)
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, oracle_definable
 from .preprocess import blocks, decompose
 from .splitting import SplitStats, splitting_decide
+from .terms import format_formula
 
 EXIT_DEFINABLE = 0
 EXIT_NOT_DEFINABLE = 1
@@ -142,7 +132,8 @@ def _parse_signature(text: str) -> list[tuple[str, int]]:
     out = []
     for part in text.split(","):
         name, _, arity = part.partition(":")
-        if not name or not arity.isdigit():
+        # isdigit alone passes "²" and non-ASCII digits, which int() then rejects
+        if not name or not (arity.isascii() and arity.isdigit()):
             raise ValueError(f"bad signature entry {part!r}; expected name:arity")
         out.append((name.strip(), int(arity)))
     return out
@@ -187,7 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--trace", action="store_true", help="log processing events to stderr")
-    p.add_argument("--check-invariants", action="store_true", help="run debug assertion suite")
+    p.add_argument(
+        "--check-invariants",
+        action="store_true",
+        help="run the debug assertion suites, on small inputs: splitting's evaluates every new block's formula over all of A^k",
+    )
     p.add_argument("--emit-formula", default=None, help="write the defining formula to this file")
     p.set_defaults(func=_cmd_decide)
 

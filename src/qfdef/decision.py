@@ -6,8 +6,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import Algebra, QfFormula, Relation, eval_formula
-from .isotype import Subisomorphism
+from .algebra import Algebra, Relation, Subisomorphism
+from .terms import QfFormula, eval_formula
 
 
 @dataclass(frozen=True)

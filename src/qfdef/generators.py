@@ -10,8 +10,9 @@ import itertools
 import random
 from typing import Sequence
 
-from .algebra import Algebra, And, App, Eq, Not, Or, QfFormula, Term, Var
-from .oracle import Graph
+from .algebra import Algebra
+from .graph import Graph
+from .terms import And, App, Eq, Not, Or, QfFormula, Term, Var
 
 DEFAULT_SIGNATURE: tuple[tuple[str, int], ...] = (("f", 2), ("g", 3))
 

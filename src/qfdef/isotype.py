@@ -1,7 +1,7 @@
 """Isomorphism types of tuples: canonical key plus generated universe.
 
 The closure reads whole operation-table rows round by round, in the
-canonical order in which `algebra.generate_terms` lists a term layer,
+canonical order in which `columns.generate_terms` lists a term layer,
 and numbers the values by first appearance, their rank.  The key lists
 the rank of the value at every closure position: the ranks of the
 tuple's own entries, then the operation tables of sg(a) relabelled by
@@ -25,7 +25,9 @@ import itertools
 import operator
 from typing import Callable, Sequence
 
-from .algebra import Algebra, Term, Var, generate_terms
+from .algebra import Algebra
+from .columns import generate_terms
+from .terms import Term, Var
 
 
 class IsoSignature:
@@ -256,66 +258,3 @@ class IsoTypeCache:
             sig = iso_type(self.alg, key)
             self._memo[key] = sig
         return sig
-
-
-class Subisomorphism:
-    """An injective map between subuniverses preserving all operations.
-
-    Stored as parallel domain/image tuples: domain[j] maps to image[j].
-    """
-
-    __slots__ = ("domain", "image", "_map")
-
-    def __init__(self, domain: Sequence[int], image: Sequence[int]):
-        self.domain = tuple(domain)
-        self.image = tuple(image)
-        if len(self.domain) != len(self.image):
-            raise ValueError("domain and image lengths differ")
-        self._map = dict(zip(self.domain, self.image))
-        if len(self._map) != len(self.domain) or len(set(self.image)) != len(self.image):
-            raise ValueError("mapping is not injective")
-
-    def apply(self, x: int) -> int:
-        return self._map[x]
-
-    def map_tuple(self, t: Sequence[int]) -> tuple[int, ...]:
-        m = self._map
-        return tuple(m[x] for x in t)
-
-    @property
-    def domain_set(self) -> frozenset[int]:
-        return frozenset(self.domain)
-
-    def inverse(self) -> "Subisomorphism":
-        return Subisomorphism(self.image, self.domain)
-
-    def is_valid(self, alg: Algebra) -> bool:
-        """Full table scan: every entry an element of `alg`, domain closed
-        under every operation and the operation graphs preserved pointwise."""
-        n = alg.size
-        if not self.domain or not all(type(x) is int and 0 <= x < n for x in self.domain + self.image):
-            return False
-        dom = sorted(self._map)
-        m = self._map
-        for op in alg.ops:
-            for args in itertools.product(dom, repeat=op.arity):
-                v = op.value(args)
-                if v not in m:
-                    return False
-                if m[v] != op.value([m[x] for x in args]):
-                    return False
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, Subisomorphism) and other._map == self._map
-
-    def __hash__(self):
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self):
-        pairs = ", ".join(f"{d}->{i}" for d, i in zip(self.domain, self.image))
-        return f"Subisomorphism({pairs})"
-
-    def to_json(self) -> dict:
-        return {"domain": list(self.domain), "image": list(self.image)}
-

@@ -25,10 +25,12 @@ from functools import reduce
 from operator import and_, itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .algebra import FALSE, Algebra, Relation, tuple_codes
+from .algebra import Algebra, Relation, Subisomorphism
+from .columns import tuple_codes
 from .decision import Decision, Definable, NotDefinable
-from .isotype import Subisomorphism, iso_type
+from .isotype import iso_type
 from .preprocess import TargetBundle, decompose, expand
+from .terms import FALSE
 
 Trace = Callable[[str], None]
 
@@ -50,7 +52,7 @@ class OrbitStore:
     """Orbit partitions of the repetition-free tuples, as a union-find over tuple codes.
 
     A k-tuple's code is its base-n value over the universe
-    (`algebra.tuple_codes`) plus the offset of arity k, so one flat
+    (`columns.tuple_codes`) plus the offset of arity k, so one flat
     `parent` forest covers every arity in the spec (codes of tuples with
     repeated entries stay singletons).
     Finds halve the path; a union hangs an untagged root under the other

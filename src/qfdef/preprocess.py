@@ -17,7 +17,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import And, Eq, Not, Or, QfFormula, Relation, Var, formula_variables, substitute_formula
+from .algebra import Relation
+from .terms import And, Eq, Not, Or, QfFormula, Var, formula_variables, substitute_formula
 
 
 def pattern(a: Sequence[int]) -> tuple[int, ...]:

@@ -50,27 +50,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import (
-    Algebra,
-    And,
-    Eq,
-    Not,
-    Or,
-    QfFormula,
-    Relation,
-    TermColumns,
-    Term,
-    Var,
-    extension,
-    generate_terms,
-    pack,
-    permutation_columns,
-    tuple_codes,
-    unpack,
-)
+from .algebra import Algebra, Relation, Subisomorphism
+from .columns import TermColumns, extension, generate_terms, pack, permutation_columns, tuple_codes, unpack
 from .decision import Decision, Definable, NotDefinable
-from .isotype import Subisomorphism, iso_type
+from .isotype import iso_type
 from .preprocess import assemble, decompose, expand, recombine
+from .terms import And, Eq, Not, Or, QfFormula, Term, Var
 
 Trace = Callable[[str], None]
 

@@ -24,18 +24,17 @@ from qfdef import (
     sg,
     splitting_decide,
 )
-from qfdef.algebra import (
+from qfdef.io import (
     algebra_from_json,
     algebra_to_json,
-    formula_variables,
     load_algebra,
     load_relation,
     relation_from_json,
     relation_to_json,
     save_algebra,
     save_relation,
-    substitute_formula,
 )
+from qfdef.terms import formula_variables, substitute_formula
 
 from conftest import DIAMOND_LEQ
 

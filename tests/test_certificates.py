@@ -21,7 +21,7 @@ from qfdef import (
     splitting_decide,
 )
 
-from qfdef.algebra import TermColumns
+from qfdef.columns import TermColumns
 
 from conftest import plant_negative
 

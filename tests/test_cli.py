@@ -13,12 +13,14 @@ from qfdef import (
     Relation,
     check_decision,
     diamond_lattice,
+    gen_abelian_group,
     parse_formula,
     save_algebra,
     save_relation,
 )
 from qfdef.cli import build_parser, main
-from qfdef.oracle import Graph, save_graph
+from qfdef.graph import Graph
+from qfdef.io import save_graph
 
 from conftest import DIAMOND_LEQ
 
@@ -113,6 +115,17 @@ def test_isotype_allows_spaces_around_tuple_entries(capsys, diamond_files):
     assert run(capsys, ["isotype", "--algebra", alg, "--tuple", " 1, 2"]) == run(
         capsys, ["isotype", "--algebra", alg, "--tuple", "1,2"]
     )
+
+
+@pytest.mark.parametrize("text", ["1_0,3", "٣,1", "+1,2"])
+def test_isotype_rejects_an_entry_that_is_not_ascii_decimal(capsys, tmp_path, text):
+    # int() reads "1_0" as 10, the Arabic-Indic digit "٣" as 3 and "+1" as 1
+    alg_path = tmp_path / "g16.json"
+    save_algebra(gen_abelian_group([4, 4]), str(alg_path))
+    code = main(["isotype", "--algebra", str(alg_path), "--tuple", text])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith(f"error: unknown element name {text.split(',')[0]!r}")
 
 
 def test_isotype_trace_includes_terms(capsys, diamond_files):
@@ -322,6 +335,14 @@ def test_gen_random_rejects_a_symbol_that_reads_as_a_variable(tmp_path):
     proc = _run_cli(["gen", "random", "--size", "3", "--signature", "x1:1", "--out", str(tmp_path / "a.json")])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "'x1'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("signature", ["f:²", "f:٢"])
+def test_gen_random_rejects_an_arity_that_is_not_ascii_decimal(capsys, tmp_path, signature):
+    # both pass str.isdigit(): int() rejects the superscript and reads "٢" as 2
+    code = main(["gen", "random", "--size", "3", "--signature", signature, "--out", str(tmp_path / "a.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: bad signature entry {signature!r}")
 
 
 def test_an_odd_legal_symbol_round_trips_through_the_printed_formula(capsys, tmp_path):

@@ -14,7 +14,9 @@ import random
 import pytest
 
 from qfdef import gen_abelian_group, gen_random_algebra, iso_type, sg
-from qfdef.algebra import Algebra, App, Var, generate_terms
+from qfdef.algebra import Algebra
+from qfdef.columns import generate_terms
+from qfdef.terms import App, Var
 from qfdef.isotype import _byte_rows, _close_wide, _Closure, _prefixes, _reader
 
 

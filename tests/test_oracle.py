@@ -1,5 +1,6 @@
 import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from qfdef import (
 import qfdef.decision
 import qfdef.oracle
 from qfdef.algebra import Algebra
-from qfdef.oracle import graph_from_json, graph_to_json
+from qfdef.io import graph_from_json, graph_to_json
 
 
 def test_subuniverses_of_diamond(diamond):
@@ -187,3 +188,39 @@ def test_oracle_and_certificate_import_no_decider_code(module):
             names.update(alias.name for alias in node.names)
     assert not modules & {"preprocess", "merging", "splitting"}, modules
     assert not names & {"TermColumns", "extension", "iso_type", "generate_terms"}, names
+
+
+def _qfdef_imports(name):
+    """The qfdef modules that module `name` imports at run time, leaving
+    out imports under `if TYPE_CHECKING:`."""
+    path = Path(qfdef.oracle.__file__).with_name(f"{name}.py")
+    found, stack = set(), [ast.parse(path.read_text(encoding="utf-8"))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").partition(".")[0] == "qfdef"):
+            if node.module in (None, "qfdef"):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.rpartition(".")[2])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[2] or a.name for a in node.names if a.name.partition(".")[0] == "qfdef")
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("name", ["oracle", "decision"])
+def test_oracle_and_certificate_import_only_terms_and_algebra(name):
+    # by module boundary: the deciders' kernel, closure and preprocessing
+    # live elsewhere.  The oracle answers with the certificate's types
+    assert _qfdef_imports(name) <= {"terms", "algebra", "decision"} - {name}
+
+
+def test_terms_import_nothing_from_qfdef_at_run_time():
+    assert _qfdef_imports("terms") == set()
+
+
+def test_column_kernel_imports_neither_parser_nor_loaders():
+    assert not _qfdef_imports("columns") & {"syntax", "io"}

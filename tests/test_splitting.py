@@ -30,7 +30,7 @@ from qfdef import (
     splitting_decide,
 )
 import qfdef.splitting
-from qfdef.algebra import TermColumns, permutation_columns
+from qfdef.columns import TermColumns, permutation_columns
 from qfdef.isotype import iso_type_terms
 from qfdef.splitting import Block, _DebugChecker, extract_counterexample
 

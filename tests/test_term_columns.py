@@ -24,7 +24,7 @@ from qfdef import (
     merging_decide,
     splitting_decide,
 )
-from qfdef.algebra import (
+from qfdef.columns import (
     EXTENSION_CHUNK,
     TermColumns,
     pack,
