@@ -11,11 +11,11 @@ constant symbol).
 from __future__ import annotations
 
 import itertools
-import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .syntax import _SYMBOL
+from .syntax import _SYMBOL, is_decimal
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ class Algebra:
         ops: Iterable[tuple[str, int, Sequence[int]]],
         element_names: Sequence[str] | None = None,
     ):
-        if type(size) is not int or size < 1:
-            raise ValueError(f"algebra size must be an integer >= 1, got {size!r}")
+        # a size counts sequence entries, which are at most sys.maxsize
+        if type(size) is not int or not 1 <= size <= sys.maxsize:
+            raise ValueError(f"algebra size must be an integer from 1 to {sys.maxsize}, got {size!r}")
         self.size = size
         normalized: list[Operation] = []
         constants: set[str] = set()
@@ -63,10 +64,10 @@ class Algebra:
             if type(arity) is not int or arity < 0:
                 raise ValueError(f"operation {symbol!r} arity must be an integer >= 0, got {arity!r}")
             table = tuple(table)
-            if len(table) != size**arity:
-                raise ValueError(
-                    f"operation {symbol!r} table has {len(table)} entries, expected {size**arity}"
-                )
+            # size**arity > len(table) once a size > 1 has an arity of the length's
+            # bit length, so an arity far too large is refused before the power is taken
+            if size > 1 and arity >= len(table).bit_length() or len(table) != size**arity:
+                raise ValueError(f"operation {symbol!r} table has {len(table)} entries, expected {size}**{arity}")
             if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size:
                 raise ValueError(f"operation {symbol!r} table has out-of-range or non-integer values")
             if arity == 0:
@@ -115,8 +116,7 @@ class Algebra:
         """Resolve an element given by alias name or decimal index."""
         if self.element_names is not None and name in self.element_names:
             return self.element_names.index(name)
-        # int() would also read "1_0", " 3" and non-ASCII digits such as "٣"
-        if not (name.isascii() and name.isdigit()):
+        if not is_decimal(name):
             raise ValueError(f"unknown element name {name!r}")
         e = int(name)
         if not (0 <= e < self.size):
@@ -147,15 +147,8 @@ class Relation:
         return cls(arity, frozenset(tuple(t) for t in tuples))
 
     def check_over(self, alg: Algebra) -> None:
-        entries = list(itertools.chain.from_iterable(self.tuples))
-        values = set(entries)
-        # a float such as 0.5 lies between min and max, and a set keeps one of
-        # 1, 1.0 and True, so the type of every entry is checked
-        if operator.countOf(map(type, entries), int) == len(entries) and (
-            not values or 0 <= min(values) and max(values) < alg.size
-        ):
-            return
-        for t in self.tuples:  # only to name the offending tuple
+        # 1.0 and True equal 1, and 0.5 lies in range, so each entry's type is checked
+        for t in self.tuples:
             for v in t:
                 if type(v) is not int or not 0 <= v < alg.size:
                     raise ValueError(f"tuple {t} has entry {v!r} outside 0..{alg.size - 1}")

@@ -27,6 +27,7 @@ from .merging import merging_decide
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, oracle_definable
 from .preprocess import blocks, decompose
 from .splitting import SplitStats, splitting_decide
+from .syntax import is_decimal
 from .terms import format_formula
 
 EXIT_DEFINABLE = 0
@@ -40,6 +41,13 @@ def _trace_printer(enabled: bool):
     if not enabled:
         return None
     return lambda msg: print(msg, file=sys.stderr)
+
+
+def _integer(text: str, option: str) -> int:
+    """An integer option's value: an optional `-`, then ASCII digits."""
+    if not is_decimal(text.removeprefix("-")):
+        raise ValueError(f"{option} must be a decimal integer, got {text!r}")
+    return int(text)
 
 
 def _parse_tuple(alg: Algebra, text: str) -> tuple[int, ...]:
@@ -123,7 +131,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_oracle(args) -> int:
     alg = load_algebra(args.algebra)
     rel = load_relation(args.relation)
-    decision = oracle_definable(alg, rel, budget=args.budget)
+    decision = oracle_definable(alg, rel, budget=_integer(args.budget, "--budget"))
     print(json.dumps(_decision_json(alg, decision), ensure_ascii=False))
     return EXIT_DEFINABLE if decision.is_definable else EXIT_NOT_DEFINABLE
 
@@ -132,8 +140,7 @@ def _parse_signature(text: str) -> list[tuple[str, int]]:
     out = []
     for part in text.split(","):
         name, _, arity = part.partition(":")
-        # isdigit alone passes "²" and non-ASCII digits, which int() then rejects
-        if not name or not (arity.isascii() and arity.isdigit()):
+        if not name or not is_decimal(arity):
             raise ValueError(f"bad signature entry {part!r}; expected name:arity")
         out.append((name.strip(), int(arity)))
     return out
@@ -141,12 +148,12 @@ def _parse_signature(text: str) -> list[tuple[str, int]]:
 
 def _cmd_gen(args) -> int:
     if args.kind == "random":
-        alg = gen_random_algebra(args.size, _parse_signature(args.signature), seed=args.seed)
+        alg = gen_random_algebra(_integer(args.size, "--size"), _parse_signature(args.signature), seed=args.seed)
         save_algebra(alg, args.out)
     elif args.kind == "bool":
-        save_algebra(gen_boolean_algebra(args.atoms), args.out)
+        save_algebra(gen_boolean_algebra(_integer(args.atoms, "--atoms")), args.out)
     elif args.kind == "group":
-        factors = [int(p) for p in args.factors.split(",")]
+        factors = [_integer(p, "--factors") for p in args.factors.split(",")]
         save_algebra(gen_abelian_group(factors), args.out)
     elif args.kind == "graph-star":
         alg, emb = graph_star(load_graph(args.graph))
@@ -154,14 +161,15 @@ def _cmd_gen(args) -> int:
         print(json.dumps({"zero": emb.zero, "one": emb.one}))
     elif args.kind == "formula":
         alg = load_algebra(args.algebra)
-        phi = gen_random_formula(alg, args.arity, args.depth, args.atoms, seed=args.seed)
+        arity = _integer(args.arity, "--arity")
+        phi = gen_random_formula(
+            alg, arity, _integer(args.depth, "--depth"), _integer(args.atoms, "--atoms"), seed=args.seed
+        )
         text = format_formula(phi, alg.constants)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         if args.extension_out:
-            save_relation(extension(alg, phi, args.arity), args.extension_out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {args.kind!r}")
+            save_relation(extension(alg, phi, arity), args.extension_out)
     return EXIT_DEFINABLE
 
 
@@ -170,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qfdef",
         description="Decide quantifier-free definability of relations over finite algebras.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for input generation")
+    parser.add_argument("--seed", default="0", help="seed for input generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decide", help="decide definability of a relation")
@@ -199,17 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force definability (small inputs)")
     p.add_argument("--algebra", required=True)
     p.add_argument("--relation", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate-map bound")
+    p.add_argument("--budget", default=str(DEFAULT_BUDGET), help="candidate-map bound")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate inputs")
     gensub = p.add_subparsers(dest="kind", required=True)
     g = gensub.add_parser("random", help="random algebra")
-    g.add_argument("--size", type=int, required=True)
+    g.add_argument("--size", required=True)
     g.add_argument("--signature", default="f:2,g:3")
     g.add_argument("--out", required=True)
     g = gensub.add_parser("bool", help="boolean algebra of subsets")
-    g.add_argument("--atoms", type=int, required=True)
+    g.add_argument("--atoms", required=True)
     g.add_argument("--out", required=True)
     g = gensub.add_parser("group", help="product of cyclic groups")
     g.add_argument("--factors", required=True, help="comma-separated cyclic orders")
@@ -219,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g = gensub.add_parser("formula", help="random formula over an algebra")
     g.add_argument("--algebra", required=True)
-    g.add_argument("--arity", type=int, required=True)
-    g.add_argument("--depth", type=int, default=2)
-    g.add_argument("--atoms", type=int, default=8)
+    g.add_argument("--arity", required=True)
+    g.add_argument("--depth", default="2")
+    g.add_argument("--atoms", default="8")
     g.add_argument("--out", required=True)
     g.add_argument("--extension-out", default=None, help="also save the formula's extension")
     # the global --seed may also follow `gen <kind>`, the only subcommands that read it
     for sp in gensub.choices.values():
-        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        sp.add_argument("--seed", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_gen)
 
     return parser
@@ -236,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command takes the global --seed, though only `gen` reads it
+        args.seed = _integer(args.seed, "--seed")
         return args.func(args)
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 from .algebra import Algebra
 from .columns import generate_terms
+from .preprocess import blocks
 from .terms import Term, Var
 
 
@@ -56,10 +57,7 @@ class IsoSignature:
         """Blocks of value-coincidence positions, sorted by minimum index
         with indices ascending inside each block: block r holds the
         positions of rank r, so it carries the same information as `key`."""
-        blocks: list[list[int]] = [[] for _ in self.universe]
-        for i, r in enumerate(self.compact):
-            blocks[r].append(i)
-        return tuple(map(tuple, blocks))
+        return blocks(self.compact)
 
     def __eq__(self, other):
         return isinstance(other, IsoSignature) and (self.key, self.universe, self.depth) == (other.key, other.universe, other.depth)

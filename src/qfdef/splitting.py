@@ -70,6 +70,7 @@ SCATTER_SHARE = 1 / 3
 COMPACT_SHARE = 1 / 8
 
 
+@dataclass(slots=True, eq=False)
 class Block:
     """One block of the refinement, with its term bookkeeping.
 
@@ -87,23 +88,12 @@ class Block:
     initial tuple space.
     """
 
-    __slots__ = ("tuples", "witnesses", "new_witnesses", "terms_to_process", "literals", "step")
-
-    def __init__(
-        self,
-        tuples: int,
-        witnesses: tuple[Term, ...],
-        new_witnesses: tuple[Term, ...],
-        terms_to_process: list[Term],
-        literals: tuple[QfFormula, ...],
-        step: int,
-    ):
-        self.tuples = tuples
-        self.witnesses = witnesses
-        self.new_witnesses = new_witnesses
-        self.terms_to_process = terms_to_process
-        self.literals = literals
-        self.step = step
+    tuples: int
+    witnesses: tuple[Term, ...]
+    new_witnesses: tuple[Term, ...]
+    terms_to_process: list[Term]
+    literals: tuple[QfFormula, ...]
+    step: int
 
     @property
     def formula(self) -> QfFormula:

@@ -24,6 +24,11 @@ _TOKEN = re.compile(rf"(?P<name>{_NAME})|(?P<punct>!=|[()=,&|!])|(?P<bad>\S)")
 _SYMBOL = re.compile(rf"(?!(?:{_VARIABLE}|true|false)\Z){_NAME}\Z")
 
 
+def is_decimal(text: str) -> bool:
+    """ASCII digits only: int() would also read "1_0", " 3" and "٣"."""
+    return text.isascii() and text.isdigit()
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN.finditer(text):

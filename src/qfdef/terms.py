@@ -134,38 +134,34 @@ class Not(QfFormula):
         return f"Not({self.inner!r})"
 
 
-class And(QfFormula):
+class _Junction(QfFormula):
+    """The body that And and Or share; each subclass sets only its tag."""
+
     __slots__ = ("children", "_hash")
+    _tag: str
 
     def __init__(self, children: Sequence[QfFormula]):
         self.children = tuple(children)
-        self._hash = hash(("and", self.children))
+        self._hash = hash((self._tag, self.children))
 
     def __eq__(self, other):
-        return type(other) is And and other.children == self.children
+        return type(other) is type(self) and other.children == self.children
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"And({list(self.children)!r})"
+        return f"{type(self).__name__}({list(self.children)!r})"
 
 
-class Or(QfFormula):
-    __slots__ = ("children", "_hash")
+class And(_Junction):
+    __slots__ = ()
+    _tag = "and"
 
-    def __init__(self, children: Sequence[QfFormula]):
-        self.children = tuple(children)
-        self._hash = hash(("or", self.children))
 
-    def __eq__(self, other):
-        return type(other) is Or and other.children == self.children
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Or({list(self.children)!r})"
+class Or(_Junction):
+    __slots__ = ()
+    _tag = "or"
 
 
 # true and false are the empty conjunction and the empty disjunction
@@ -178,7 +174,7 @@ def formula_variables(phi: QfFormula) -> set[int]:
         return term_variables(phi.lhs) | term_variables(phi.rhs)
     if isinstance(phi, Not):
         return formula_variables(phi.inner)
-    if isinstance(phi, (And, Or)):
+    if isinstance(phi, _Junction):
         out: set[int] = set()
         for c in phi.children:
             out |= formula_variables(c)
@@ -201,10 +197,8 @@ def substitute_formula(phi: QfFormula, mapping: dict[int, int]) -> QfFormula:
         return Eq(substitute_term(phi.lhs, mapping), substitute_term(phi.rhs, mapping))
     if isinstance(phi, Not):
         return Not(substitute_formula(phi.inner, mapping))
-    if isinstance(phi, And):
-        return And([substitute_formula(c, mapping) for c in phi.children])
-    if isinstance(phi, Or):
-        return Or([substitute_formula(c, mapping) for c in phi.children])
+    if isinstance(phi, _Junction):
+        return type(phi)([substitute_formula(c, mapping) for c in phi.children])
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -273,7 +267,7 @@ def _flatten(phi: QfFormula, cls) -> list[QfFormula]:
 def format_formula(phi: QfFormula, constants: frozenset[str] | set[str] = frozenset()) -> str:
     """Canonical text: And/Or flattened, '!=' restored, minimal parentheses.
     The empty And and Or print as `true` and `false`, which need none."""
-    if isinstance(phi, (And, Or)) and not phi.children:
+    if isinstance(phi, _Junction) and not phi.children:
         return "true" if isinstance(phi, And) else "false"
     if isinstance(phi, Eq):
         return f"{format_term(phi.lhs, constants)}={format_term(phi.rhs, constants)}"
@@ -281,7 +275,7 @@ def format_formula(phi: QfFormula, constants: frozenset[str] | set[str] = frozen
         if isinstance(phi.inner, Eq):
             e = phi.inner
             return f"{format_term(e.lhs, constants)}!={format_term(e.rhs, constants)}"
-        if isinstance(phi.inner, (And, Or)) and phi.inner.children:
+        if isinstance(phi.inner, _Junction) and phi.inner.children:
             return "!(" + format_formula(phi.inner, constants) + ")"
         return "!" + format_formula(phi.inner, constants)
     if isinstance(phi, And):

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import random
 import re
+import sys
 
 import pytest
 
@@ -14,11 +17,13 @@ from qfdef import (
     Not,
     Or,
     Relation,
+    Subisomorphism,
     Var,
     check_decision,
     eval_formula,
     eval_term,
     extension,
+    gen_boolean_algebra,
     merging_decide,
     oracle_definable,
     sg,
@@ -27,6 +32,7 @@ from qfdef import (
 from qfdef.io import (
     algebra_from_json,
     algebra_to_json,
+    graph_from_json,
     load_algebra,
     load_relation,
     relation_from_json,
@@ -100,6 +106,15 @@ def test_true_and_false_are_the_empty_and_and_or():
     assert Or(()) == Or([]) == FALSE and hash(Or([])) == hash(FALSE)
     assert TRUE != FALSE and TRUE.children == FALSE.children == ()
     assert (repr(TRUE), repr(FALSE)) == ("And([])", "Or([])")
+
+
+def test_and_and_or_hash_as_their_tagged_children():
+    # set and dict orders of formulas, and so the golden digests, rest on these hashes
+    c = (ORDER_FORMULA, Not(ORDER_FORMULA))
+    assert hash(And(c)) == hash(("and", c)) and hash(Or(c)) == hash(("or", c))
+    assert And(c) != Or(c) and not isinstance(And(c), Or) and not isinstance(Or(c), And)
+    swapped = substitute_formula(Or([And(c)]), {0: 1, 1: 0})
+    assert type(swapped) is Or and type(swapped.children[0]) is And
 
 
 def test_walkers_agree_on_empty_connectives(diamond):
@@ -326,3 +341,94 @@ def test_json_loaders_reject_malformed_documents():
             algebra_from_json({"size": 2, "elements": elements, "operations": {}})
     with pytest.raises(ValueError, match="strings"):
         algebra_from_json({"size": 2, "elements": ["a", 1], "operations": {}})
+
+
+def test_algebra_rejects_a_negative_arity_and_bad_element_names():
+    with pytest.raises(ValueError, match="arity must be an integer >= 0, got -1"):
+        Algebra(2, [("f", -1, [0])])
+    with pytest.raises(ValueError, match="length"):
+        Algebra(2, [], element_names=["a"])
+    with pytest.raises(ValueError, match="distinct"):
+        Algebra(2, [], element_names=["a", "a"])
+
+
+def test_equal_subisomorphisms_listed_in_other_orders_hash_equal():
+    # perfbench's answer checker keys answers by this hash
+    gamma, again = Subisomorphism((1, 2, 0), (2, 1, 0)), Subisomorphism((0, 2, 1), (0, 1, 2))
+    assert gamma == again and hash(gamma) == hash(again) and len({gamma, again}) == 1
+
+
+def test_algebra_documents_need_a_size_and_tables():
+    with pytest.raises(ValueError, match="malformed algebra document: missing 'size'"):
+        algebra_from_json({"operations": {}})
+    with pytest.raises(ValueError, match="malformed algebra document: missing 'table'"):
+        algebra_from_json({"size": 2, "operations": {"f": {"arity": 1}}})
+
+
+# an arity whose power the table check used to compute, and a size whose
+# constant rewrite used to raise OverflowError
+HUGE_ARITY = {"size": 4, "operations": {"f": {"arity": 2**64, "table": [0, 1, 2, 3]}}}
+HUGE_SIZE = {"size": 10**30, "operations": {"c": {"arity": 0, "table": [0]}}}
+
+
+def test_algebra_refuses_huge_sizes_and_arities_before_building_tables():
+    with pytest.raises(ValueError, match=re.escape("table has 4 entries, expected 4**18446744073709551616")):
+        algebra_from_json(HUGE_ARITY)
+    with pytest.raises(ValueError, match="algebra size must be an integer from 1 to"):
+        algebra_from_json(HUGE_SIZE)
+    for size in (sys.maxsize + 1, 2**64):
+        with pytest.raises(ValueError, match="algebra size"):
+            Algebra(size, [])
+
+
+_FUZZ_VALUES = (2**64, 10**30, sys.maxsize + 1, -1, 0, 1, 2, 3, 0.5, 1.0, True, None, "", "1", "x1",
+                [], [0], [[0, 1]], {}, {"arity": 0, "table": [0]})
+
+
+def _mutate(rng, doc):
+    """A copy of `doc` with one entry of its JSON tree replaced, deleted or added."""
+    doc = copy.deepcopy(doc)
+    places, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            places.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    node, key = rng.choice(places)
+    value, action = copy.deepcopy(rng.choice(_FUZZ_VALUES)), rng.random()
+    if action < 0.7:
+        node[key] = value
+    elif action < 0.85:
+        del node[key]
+    elif isinstance(node, dict):
+        node[rng.choice(("size", "arity", "table", "c", "elements", "vertices"))] = value
+    else:
+        node.insert(key, value)
+    return doc
+
+
+def test_json_loaders_fuzz_load_or_raise_value_error():
+    # seeded mutations of valid documents: every load returns or raises
+    # ValueError at once, and never exits through another error
+    rng = random.Random(8)
+    bases = [
+        (algebra_from_json, algebra_to_json(gen_boolean_algebra(2)), 3000),
+        (algebra_from_json, HUGE_ARITY, 500),
+        (algebra_from_json, HUGE_SIZE, 500),
+        (relation_from_json, {"arity": 2, "tuples": [[0, 1], [1, 0], [2, 2]]}, 1000),
+        (graph_from_json, {"vertices": 3, "edges": [[0, 1], [1, 2]]}, 1000),
+    ]
+    for load, base, mutations in bases:
+        loaded = 0
+        for _ in range(mutations):
+            doc = _mutate(rng, base)
+            if rng.random() < 0.5:
+                doc = _mutate(rng, doc)
+            try:
+                load(doc)
+            except ValueError:
+                continue
+            loaded += 1
+        # both outcomes are exercised
+        assert 0 < loaded < mutations, (load.__name__, loaded)

@@ -14,13 +14,15 @@ from qfdef import (
     check_decision,
     diamond_lattice,
     gen_abelian_group,
+    gen_boolean_algebra,
+    load_algebra,
     parse_formula,
     save_algebra,
     save_relation,
 )
 from qfdef.cli import build_parser, main
 from qfdef.graph import Graph
-from qfdef.io import save_graph
+from qfdef.io import algebra_to_json, save_graph
 
 from conftest import DIAMOND_LEQ
 
@@ -370,3 +372,61 @@ def test_decide_out_of_memory_exits_4(capsys, diamond_files, monkeypatch, strate
     alg, order, _ = diamond_files
     assert main(["decide", "--strategy", strategy, "--algebra", alg, "--relation", order]) == 4
     assert capsys.readouterr().err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        (["gen", "group", "--factors", "2,٤", "--out", "OUT"], "--factors", "٤"),
+        (["gen", "random", "--size", "1_0", "--signature", "f:1", "--out", "OUT"], "--size", "1_0"),
+        (["--seed", " 3", "gen", "random", "--size", "3", "--out", "OUT"], "--seed", " 3"),
+        (["gen", "random", "--size", "3", "--out", "OUT", "--seed", "+3"], "--seed", "+3"),
+        (["gen", "bool", "--atoms", "²", "--out", "OUT"], "--atoms", "²"),
+        (["gen", "formula", "--algebra", "ALG", "--arity", "٢", "--out", "OUT"], "--arity", "٢"),
+        (["gen", "formula", "--algebra", "ALG", "--arity", "2", "--depth", "1_0", "--out", "OUT"], "--depth", "1_0"),
+        (["gen", "formula", "--algebra", "ALG", "--arity", "2", "--atoms", "8 ", "--out", "OUT"], "--atoms", "8 "),
+        (["oracle", "--algebra", "ALG", "--relation", "REL", "--budget", "1_000"], "--budget", "1_000"),
+        (["--seed", "-", "decompose", "--relation", "REL"], "--seed", "-"),
+    ],
+)
+def test_integer_options_read_ascii_decimals_only(capsys, diamond_files, tmp_path, argv, option, value):
+    # int() reads each of these values, so each used to pass
+    alg, order, _ = diamond_files
+    paths = {"ALG": alg, "REL": order, "OUT": str(tmp_path / "out")}
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: {option} must be a decimal integer, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_bool_writes_the_boolean_algebra(capsys, tmp_path):
+    path = tmp_path / "b8.json"
+    assert main(["gen", "bool", "--atoms", "3", "--out", str(path)]) == 0
+    assert algebra_to_json(load_algebra(str(path))) == algebra_to_json(gen_boolean_algebra(3))
+
+
+def test_isotype_rejects_an_empty_tuple(capsys, diamond_files):
+    alg, _, _ = diamond_files
+    code = main(["isotype", "--algebra", alg, "--tuple", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: empty tuple\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"size": 4, "operations": {"f": {"arity": 18446744073709551616, "table": [0, 1, 2, 3]}}}',
+        '{"size": 1000000000000000000000000000000, "operations": {"c": {"arity": 0, "table": [0]}}}',
+    ],
+    ids=["huge-arity", "huge-size"],
+)
+def test_decide_refuses_an_algebra_of_huge_numbers(tmp_path, doc):
+    alg_path = tmp_path / "huge.json"
+    alg_path.write_text(doc)
+    rel_path = tmp_path / "r.json"
+    save_relation(Relation.of(1, [(0,)]), str(rel_path))
+    proc = _run_cli(["decide", "--strategy", "merging", "--algebra", str(alg_path), "--relation", str(rel_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
